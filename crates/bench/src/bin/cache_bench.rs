@@ -1,6 +1,6 @@
-//! Churn sweep of the two-tier (lossy front + exact) caches on all four
-//! converted hot paths: the ME-TCF conversion cache, the per-engine trace
-//! cache, the duration-class interning table, and the serve engine pool.
+//! Churn sweep of the two-tier (lossy front + exact) caches on both hot
+//! paths that carry one: the ME-TCF conversion cache and the
+//! duration-class interning table.
 //!
 //! For each path and each working-set size W, the benchmark warms W keys,
 //! then times a repeated-key lookup loop twice — exact-only
@@ -14,19 +14,17 @@
 //! rejected, never cross-served.
 //!
 //! Gates (smoke and full): two-tier ns/lookup ≤ exact-only on the
-//! steady-state (W=1) repeated-key workload for the conversion and intern
-//! paths, and `verify_rejects > 0` under the crafted collision. The full
-//! run additionally requires ≥ 2x steady-state speedup on those two paths.
+//! steady-state (W=1) repeated-key workload on both paths, and
+//! `verify_rejects > 0` under the crafted collision. The full run
+//! additionally requires ≥ 2x steady-state speedup on both paths.
 
 use dtc_core::cache::metcf_for;
-use dtc_core::{DtcSpmm, EngineConfig, EngineKind, KeyMaterial};
+use dtc_core::DtcSpmm;
 use dtc_formats::gen::uniform;
 use dtc_formats::{CsrMatrix, DenseMatrix};
 use dtc_par::{set_front_tier_enabled, FrontTier};
-use dtc_serve::{EnginePool, PoolConfig, PoolKey};
-use dtc_sim::{Device, KernelTrace, TbWork};
+use dtc_sim::{KernelTrace, TbWork};
 use dtc_telemetry::json::Json;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Timing repeats per (path, W, mode); the minimum is reported.
@@ -108,30 +106,6 @@ fn bench_conversion(sets: &[usize], lookups: usize) -> Vec<Point> {
         .collect()
 }
 
-/// Per-engine trace cache: repeated `SpmmKernel::trace` over W column
-/// counts on one engine. Both tiers pay the dominant trace clone, so the
-/// delta here is the smallest of the four paths.
-fn bench_trace(sets: &[usize], lookups: usize) -> Vec<Point> {
-    let a = uniform(128, 128, 1000, 0x7ACE);
-    let device = Device::rtx4090();
-    sets.iter()
-        .map(|&w| {
-            let engine = DtcSpmm::new(&a);
-            let ns: Vec<usize> = (0..w).map(|i| 4 << (i % 6)).collect();
-            for &n in &ns {
-                let _ = engine.trace(n, &device, false);
-            }
-            sweep_point("trace", w, lookups, |iters| {
-                for _ in 0..iters {
-                    for &n in &ns {
-                        std::hint::black_box(engine.trace(n, &device, false));
-                    }
-                }
-            })
-        })
-        .collect()
-}
-
 /// A distinct duration class per `i` (field values chosen so no two
 /// classes are bitwise equal).
 fn tb_class(i: usize) -> TbWork {
@@ -159,45 +133,6 @@ fn bench_intern(sets: &[usize], lookups: usize) -> Vec<Point> {
                 for _ in 0..iters {
                     for i in 0..w {
                         trace.push(tb_class(i));
-                    }
-                }
-            })
-        })
-        .collect()
-}
-
-/// Serve engine pool: repeated `get_or_prepare` over W resident engines.
-/// A front hit skips the SipHash bucket map and the bucket walk.
-fn bench_pool(sets: &[usize], lookups: usize) -> Vec<Point> {
-    let config = EngineConfig::default();
-    sets.iter()
-        .map(|&w| {
-            let pool = EnginePool::new(PoolConfig { capacity: w.max(8), warmup_uses: 1 });
-            let mats: Vec<Arc<CsrMatrix>> =
-                (0..w).map(|i| Arc::new(uniform(64, 64, 400, 0x9001 + i as u64))).collect();
-            let keys: Vec<PoolKey> = mats
-                .iter()
-                .map(|m| PoolKey::new(EngineKind::Cusparse, &config, KeyMaterial::of(m)))
-                .collect();
-            for (key, m) in keys.iter().zip(&mats) {
-                let m = Arc::clone(m);
-                let cfg = config.clone();
-                pool.get_or_prepare(key.clone(), move || {
-                    dtc_core::prepare(EngineKind::Cusparse, &cfg, &m)
-                })
-                .expect("warm prepare");
-            }
-            sweep_point("pool", w, lookups, |iters| {
-                for _ in 0..iters {
-                    for (key, m) in keys.iter().zip(&mats) {
-                        let m = Arc::clone(m);
-                        let cfg = config.clone();
-                        std::hint::black_box(
-                            pool.get_or_prepare(key.clone(), move || {
-                                dtc_core::prepare(EngineKind::Cusparse, &cfg, &m)
-                            })
-                            .expect("resident lookup"),
-                        );
                     }
                 }
             })
@@ -263,23 +198,15 @@ fn main() {
     // tier's 64-entry cap (past it every lookup reconverts and the
     // benchmark measures conversion, not lookup). The intern sweep's 512
     // point oversubscribes the 128 front slots to show thrash fallback.
-    let (lookups, conv_sets, trace_sets, intern_sets, pool_sets): (
-        usize,
-        Vec<usize>,
-        Vec<usize>,
-        Vec<usize>,
-        Vec<usize>,
-    ) = if smoke {
-        (2_000, vec![1, 8], vec![1, 4], vec![1, 64, 512], vec![1, 4])
+    let (lookups, conv_sets, intern_sets): (usize, Vec<usize>, Vec<usize>) = if smoke {
+        (2_000, vec![1, 8], vec![1, 64, 512])
     } else {
-        (20_000, vec![1, 4, 16, 48], vec![1, 2, 4], vec![1, 16, 64, 512], vec![1, 4, 8])
+        (20_000, vec![1, 4, 16, 48], vec![1, 16, 64, 512])
     };
 
     let paths: Vec<(&str, Vec<Point>)> = vec![
         ("conversion", bench_conversion(&conv_sets, lookups)),
-        ("trace", bench_trace(&trace_sets, lookups / 4)),
         ("intern", bench_intern(&intern_sets, lookups)),
-        ("pool", bench_pool(&pool_sets, lookups)),
     ];
 
     println!("\n| path | W | exact ns | two-tier ns | speedup | l1 hit rate |");
@@ -297,9 +224,8 @@ fn main() {
         }
     }
 
-    // Gates: steady state (W=1) must never regress on the paths where the
-    // front hit provably does less work; the full run additionally
-    // requires the 2x the tentpole promises there.
+    // Gates: steady state (W=1) must never regress on either path; the
+    // full run additionally requires a 2x speedup there.
     for gated in ["conversion", "intern"] {
         let steady = paths
             .iter()

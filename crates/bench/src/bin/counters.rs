@@ -78,9 +78,9 @@ fn main() {
     dump_par();
 }
 
-/// Every cache in the stack, per tier: the totals (`core.cache.*`,
-/// `serve.pool.*` — each lookup counted once whichever tier resolved it)
-/// alongside the lossy front tier's own `cache.<name>.*` counters.
+/// Every cache in the stack: the totals (`core.cache.*` — each lookup
+/// counted once whichever tier resolved it) alongside the `cache.<name>.*`
+/// counters of the two lossy front tiers, conversion and intern.
 fn dump_caches() {
     println!(
         "\n### caches (front tier {})",
@@ -98,7 +98,7 @@ fn dump_caches() {
         c("core.cache.trace.hits"),
         c("core.cache.trace.misses")
     );
-    for name in ["conversion", "trace", "intern", "pool"] {
+    for name in ["conversion", "intern"] {
         let hits = c(&format!("cache.{name}.l1_hits"));
         let misses = c(&format!("cache.{name}.l1_misses"));
         if hits + misses == 0 {

@@ -61,8 +61,6 @@ pub use cache::{
 pub use config::EngineConfig;
 pub use engine::{prepare, BaselineEngine, EngineKind, SpmmEngine};
 pub use error::DtcError;
-#[allow(deprecated)]
-pub use error::EngineError;
 pub use kernel::{BalancedDtcKernel, DtcKernel, KernelOpts};
 pub use pipeline::{DeltaOutcome, DeltaPolicy, DtcSpmm, DtcSpmmBuilder};
 pub use selector::{KernelChoice, Selector, SelectorDecision};
@@ -72,8 +70,6 @@ pub use session::{AmortizationReport, EngineRecommendation, IterativeSpmm, Itera
 pub use dtc_baselines::SpmmKernel;
 pub use dtc_formats::{DeltaReport, MatrixDelta, Precision};
 
-// The workspace's shared FNV-1a module and the lossy verified front-tier
-// cache primitive (they live in `dtc-par` so `dtc-sim` and the serving
-// layer can use them without a dependency cycle).
+// The workspace's shared FNV-1a module (it lives in `dtc-par` so `dtc-sim`
+// and the serving layer can use it without a dependency cycle).
 pub use dtc_par::hash;
-pub use dtc_par::{front_tier_enabled, set_front_tier_enabled, FrontTier};

@@ -12,8 +12,6 @@ use dtc_baselines::SpmmKernel;
 use dtc_formats::{
     CsrMatrix, DeltaReport, DenseMatrix, FormatError, MatrixDelta, MeTcfMatrix, Precision,
 };
-use dtc_par::hash::fnv1a;
-use dtc_par::FrontTier;
 use dtc_reorder::{Reorderer, TcaReorderer};
 use dtc_sim::{Device, KernelTrace};
 use std::collections::HashMap;
@@ -21,27 +19,6 @@ use std::sync::Mutex;
 
 /// Trace-cache key: (N, device fingerprint, record_b_addrs).
 type TraceKey = (usize, u64, bool);
-
-/// Per-engine two-tier trace cache: a lossy [`FrontTier`] (verified by the
-/// full [`TraceKey`]) in front of the exact map. Both under the engine's
-/// existing `Mutex`.
-#[derive(Debug)]
-struct TraceCache {
-    front: FrontTier<TraceKey, KernelTrace>,
-    exact: HashMap<TraceKey, KernelTrace>,
-}
-
-impl TraceCache {
-    fn new() -> Self {
-        // Engines see a handful of (N, device) pairs; 64 slots is plenty.
-        TraceCache { front: FrontTier::new("trace", 64), exact: HashMap::new() }
-    }
-}
-
-/// Word-wise FNV over the trace key for the front-tier slot.
-fn trace_front_hash(key: &TraceKey) -> u64 {
-    fnv1a(dtc_par::hash::FNV_OFFSET, [key.0 as u64, key.1, key.2 as u64].into_iter())
-}
 
 /// Builder for a [`DtcSpmm`] engine: a shared [`EngineConfig`] (every
 /// hashable knob) plus the boxed reordering algorithm.
@@ -185,7 +162,7 @@ impl DtcSpmmBuilder {
             key,
             working_key,
             config: self.config,
-            trace_cache: Mutex::new(TraceCache::new()),
+            trace_cache: Mutex::new(HashMap::new()),
         })
     }
 }
@@ -279,9 +256,8 @@ pub struct DtcSpmm {
     config: EngineConfig,
     /// Memoized kernel traces, keyed by (N, device fingerprint,
     /// record_b_addrs): repeated `simulate` calls on one engine re-lower
-    /// the kernel zero times. Two-tier: a lossy verified front slot in
-    /// front of the exact map.
-    trace_cache: Mutex<TraceCache>,
+    /// the kernel zero times.
+    trace_cache: Mutex<HashMap<TraceKey, KernelTrace>>,
 }
 
 impl DtcSpmm {
@@ -473,11 +449,8 @@ impl DtcSpmm {
         if self.key != self.working_key {
             crate::cache::invalidate_conversion(&self.key);
         }
-        {
-            let mut cache = self.trace_cache.lock().unwrap();
-            *cache = TraceCache::new();
-            crate::telemetry::trace_cache_invalidations().incr();
-        }
+        self.trace_cache.lock().unwrap().clear();
+        crate::telemetry::trace_cache_invalidations().incr();
 
         // Drift-gated re-selection: below the threshold the previous
         // decision (and its makespan model) is reused as-is.
@@ -541,31 +514,14 @@ impl SpmmKernel for DtcSpmm {
         // field reordering and allocation-free, so a modified clone of a
         // preset never aliases the preset's cached traces.
         let key = (n, device.fingerprint(), record_b_addrs);
-        let fh = trace_front_hash(&key);
-        {
-            let mut cache = self.trace_cache.lock().unwrap();
-            if let Some(hit) = cache.front.get(fh, &key) {
-                crate::telemetry::trace_cache_hits().incr();
-                return hit;
-            }
-            if let Some(hit) = cache.exact.get(&key).cloned() {
-                crate::telemetry::trace_cache_hits().incr();
-                // The refill clone is real work (a trace deep-copy), so pay
-                // it only when the front tier can actually store it.
-                if dtc_par::front_tier_enabled() {
-                    cache.front.insert(fh, key, hit.clone());
-                }
-                return hit;
-            }
+        if let Some(hit) = self.trace_cache.lock().unwrap().get(&key).cloned() {
+            crate::telemetry::trace_cache_hits().incr();
+            return hit;
         }
         crate::telemetry::trace_cache_misses().incr();
         let _lower = dtc_telemetry::span("pipeline.trace");
         let trace = self.kernel.as_kernel().trace(n, device, record_b_addrs);
-        let mut cache = self.trace_cache.lock().unwrap();
-        if dtc_par::front_tier_enabled() {
-            cache.front.insert(fh, key, trace.clone());
-        }
-        cache.exact.insert(key, trace.clone());
+        self.trace_cache.lock().unwrap().insert(key, trace.clone());
         trace
     }
 }
@@ -658,7 +614,7 @@ mod tests {
         // Each device fingerprint must own its own cache slot (the global
         // hit/miss counters are shared across tests, so inspect the
         // engine's private cache directly).
-        assert_eq!(engine.trace_cache.lock().unwrap().exact.len(), 2);
+        assert_eq!(engine.trace_cache.lock().unwrap().len(), 2);
         // And the cached entries really are distinct simulations.
         let t_preset = engine.simulate(64, &preset).time_ms;
         let t_tweaked = engine.simulate(64, &tweaked).time_ms;
@@ -788,14 +744,14 @@ mod tests {
         let device = Device::rtx4090();
         let mut engine = DtcSpmm::new(&a);
         let _warm = engine.trace(32, &device, false);
-        assert_eq!(engine.trace_cache.lock().unwrap().exact.len(), 1);
+        assert_eq!(engine.trace_cache.lock().unwrap().len(), 1);
         let mut delta = MatrixDelta::new();
         for c in 0..64 {
             delta.insert(3, c * 4, 1.0);
         }
         engine.apply_delta(&delta, &DeltaPolicy::default()).unwrap();
         assert_eq!(
-            engine.trace_cache.lock().unwrap().exact.len(),
+            engine.trace_cache.lock().unwrap().len(),
             0,
             "pre-edit traces must not survive the delta"
         );

@@ -115,9 +115,15 @@ pub fn run_sweep(config: &SweepConfig) -> FuzzReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Serializes the sweeps in this module: they share the process-wide
+    /// `fuzz.cases.run` counter that `telemetry_counters_accumulate` diffs.
+    static SWEEPS: Mutex<()> = Mutex::new(());
 
     #[test]
     fn sweep_is_deterministic() {
+        let _g = SWEEPS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let config =
             SweepConfig { master_seed: 7, num_cases: 12, device: Device::rtx4090(), shrink: true };
         let a = run_sweep(&config).to_json();
@@ -127,6 +133,7 @@ mod tests {
 
     #[test]
     fn telemetry_counters_accumulate() {
+        let _g = SWEEPS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let before = dtc_telemetry::snapshot();
         let config =
             SweepConfig { master_seed: 11, num_cases: 2, device: Device::rtx4090(), shrink: false };

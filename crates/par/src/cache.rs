@@ -1,18 +1,17 @@
-//! The lossy locality-preferential front tier shared by every hot lookup
-//! path in the workspace.
+//! The lossy locality-preferential front tier for hot lookup paths whose
+//! exact key is expensive.
 //!
-//! Every hot keyed lookup in the stack — the ME-TCF conversion cache, the
-//! per-engine trace cache, the duration-class interning table, the serving
-//! layer's engine pool — is an exact bucketed map: hash, probe, walk an
-//! equality chain. Correct, but branchy, and at the 99%+ hit rates the
-//! serving layer measures, almost every lookup pays the full chain for a
-//! key it saw moments ago. [`FrontTier`] is the fix: a fixed-capacity,
+//! The ME-TCF conversion cache and the duration-class interning table are
+//! exact bucketed maps behind costly keys (three full-matrix hash passes;
+//! a byte-granular work-field fold). At the 99%+ hit rates the serving
+//! layer measures, almost every lookup pays that key for an answer it saw
+//! moments ago. [`FrontTier`] is the fix: a fixed-capacity,
 //! power-of-two, direct-mapped, overwrite-on-collision table — no probing,
 //! no buckets, no growth — sitting in front of the exact store.
 //!
 //! The invariant that makes lossy safe: **every front-tier hit is verified
 //! against the stored full key material** (`K: PartialEq`, where `K` is the
-//! complete identity — `KeyMaterial`, a full `PoolKey`, the bitwise work
+//! complete identity — `KeyMaterial`, the bitwise work
 //! fields of a duration class — never just a hash). A slot holding a
 //! different key is a miss, counted as a `verify_reject`, and the lookup
 //! falls through to the exact tier, which refills the slot. Losing an entry

@@ -24,7 +24,7 @@ use dtc_verify::LockGraph;
 /// |---|---|---|
 /// | `serve.queue` | `serve/src/server.rs` `SpmmServer::queue` | admission queue |
 /// | `serve.seq` | `serve/src/server.rs` `SpmmServer::next_seq` | ticket counter, leaf |
-/// | `serve.pool.inner` | `serve/src/pool.rs` `EnginePool::inner` | bucket map, held only for map ops |
+/// | `serve.pool.inner` | `serve/src/pool.rs` `EnginePool::inner` | slot map, held only for map ops |
 /// | `serve.prepare` | `serve/src/pool.rs` `EngineCell` | `OnceLock` engine build (blocks same-key waiters) |
 /// | `core.conversion_cache` | `core/src/cache.rs` `CACHE` | released before parallel conversion |
 /// | `core.trace_cache` | `core/src/pipeline.rs` `DtcSpmm::trace_cache` | per-kernel memo, leaf |
@@ -54,7 +54,7 @@ pub fn workspace_lock_graph() -> LockGraph {
     let mut g = LockGraph::new();
     let queue = g.class("serve.queue", "admission queue (SpmmServer::queue)");
     let seq = g.class("serve.seq", "request ticket counter (SpmmServer::next_seq)");
-    let pool = g.class("serve.pool.inner", "engine pool bucket map (EnginePool::inner)");
+    let pool = g.class("serve.pool.inner", "engine pool slot map (EnginePool::inner)");
     let prepare = g.class("serve.prepare", "OnceLock engine build (EngineCell)");
     let conv = g.class("core.conversion_cache", "METCF conversion cache (cache.rs CACHE)");
     let trace = g.class("core.trace_cache", "per-kernel trace memo (DtcSpmm::trace_cache)");

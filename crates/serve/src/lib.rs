@@ -7,9 +7,9 @@
 //!
 //! - [`EnginePool`] — prepared engines keyed by engine family +
 //!   [`EngineConfig`](dtc_core::EngineConfig)/device fingerprints + the
-//!   matrix's full [`KeyMaterial`](dtc_core::KeyMaterial) (every hit is
-//!   verified against the full key, so crafted fingerprint collisions
-//!   are served correctly, just slower). Concurrent requests for the same
+//!   matrix's full [`KeyMaterial`](dtc_core::KeyMaterial) (lookups
+//!   compare the full key, so crafted fingerprint collisions are served
+//!   correctly). Concurrent requests for the same
 //!   key coalesce onto a single prepare; eviction is LRU with a warmup
 //!   pin (an engine is never evicted before it has repaid its
 //!   preparation with [`PoolConfig::warmup_uses`] uses).

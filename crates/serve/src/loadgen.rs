@@ -223,7 +223,7 @@ pub fn run_point(tenants: &[TenantSpec], cfg: &LoadGenConfig, offered_qps: f64) 
     }
 
     let misses = crate::telemetry::pool_misses().get() - misses0;
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    latencies.sort_by(f64::total_cmp);
     let completed = latencies.len();
     LoadPoint {
         offered_qps,

@@ -5,11 +5,10 @@
 //! from `dtc-core`), *which configuration*
 //! ([`EngineConfig::fingerprint`] — two tenants asking for the same matrix
 //! under different precisions must not share an engine), and *which
-//! device/engine family*. Entries are bucketed by a single 64-bit primary
-//! hash and **verified by full key equality on every hit** — the same
-//! discipline as the conversion cache, so a crafted primary-hash collision
-//! is detected and both engines coexist instead of one tenant silently
-//! receiving another tenant's engine.
+//! device/engine family*. Slots live in one `HashMap<PoolKey, _>`, so every
+//! lookup is decided by full key equality: two keys whose hashes collide
+//! still get separate engines, and one tenant never receives another
+//! tenant's engine.
 //!
 //! Concurrency: one prepare per key. Each slot holds an
 //! [`OnceLock`]; concurrent same-key requests all land on the same slot
@@ -25,7 +24,6 @@
 
 use dtc_core::{DtcError, EngineConfig, EngineKind, KeyMaterial, SpmmEngine};
 use dtc_par::hash::fnv1a;
-use dtc_par::FrontTier;
 use dtc_verify::PoolEvent;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,10 +42,9 @@ fn pool_event_log() -> &'static Mutex<Vec<PoolEvent>> {
 
 /// Switches pool-event capture on or off (off by default; enabling does
 /// not clear previously captured events). While on, every pool emits
-/// [`PoolEvent`]s at its protocol points — slot insert, engine publish,
-/// slot removal and front-tier invalidation — for
-/// [`dtc_verify::verify_pool_events`] to audit. Used by `schedcheck` and
-/// the protocol tests; the log is process-wide.
+/// [`PoolEvent`]s at its protocol points — slot insert, engine publish
+/// and slot removal — for [`dtc_verify::verify_pool_events`] to audit.
+/// Used by the protocol tests; the log is process-wide.
 pub fn set_pool_event_log(on: bool) {
     POOL_EVENT_LOG_ON.store(on, Ordering::Relaxed);
 }
@@ -57,16 +54,11 @@ pub fn drain_pool_events() -> Vec<PoolEvent> {
     std::mem::take(&mut *pool_event_log().lock().unwrap_or_else(std::sync::PoisonError::into_inner))
 }
 
-/// Appends events under ONE log-lock acquisition, so protocol pairs that
-/// the lints require to be adjacent (remove + front-invalidate, emitted
-/// from the same pool critical section) cannot be split by a concurrent
-/// pool's events.
-fn log_pool_events(events: &[PoolEvent]) {
+/// Appends one event when capture is on. The event is built lazily, so
+/// the key's primary hash is only computed while someone is listening.
+fn log_pool_event(event: impl FnOnce() -> PoolEvent) {
     if POOL_EVENT_LOG_ON.load(Ordering::Relaxed) {
-        pool_event_log()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .extend_from_slice(events);
+        pool_event_log().lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(event());
     }
 }
 
@@ -94,8 +86,9 @@ impl PoolKey {
         }
     }
 
-    /// The 64-bit primary bucket hash (FNV-1a over all components). A
-    /// primary collision is survivable: buckets verify full key equality.
+    /// The 64-bit FNV-1a summary of all components that names this key in
+    /// [`PoolEvent`] logs. Lookups never use it: the pool map compares
+    /// full keys.
     pub fn primary(&self) -> u64 {
         let kind = match self.kind {
             EngineKind::Dtc => 1u64,
@@ -133,29 +126,17 @@ type EngineCell = Arc<OnceLock<Result<Arc<dyn SpmmEngine>, DtcError>>>;
 
 /// One resident entry.
 struct Slot {
-    key: PoolKey,
-    /// The primary bucket hash this slot is filed under (also its front-
-    /// tier slot hash), kept so removal can unfile it without rehashing.
-    primary: u64,
     cell: EngineCell,
     /// Requests served (including the preparing one).
     uses: u64,
-    /// Recency tick of the last request.
+    /// Recency tick of the last request; unique per fetch, so the LRU
+    /// victim is deterministic.
     last_use: u64,
 }
 
-/// Pool state: a slot arena indexed by stable `usize` handles, the exact
-/// bucket map (primary hash → slot indices, verified by full `PoolKey`
-/// equality), and the lossy front tier (primary hash → slot index, also
-/// verified by full key equality). Everything lives under one `Mutex`, so
-/// the front tier can never disagree with the arena about residency —
-/// every removal invalidates the front slot in the same critical section.
+/// Pool state, under one `Mutex`.
 struct Inner {
-    slots: Vec<Option<Slot>>,
-    free: Vec<usize>,
-    buckets: HashMap<u64, Vec<usize>>,
-    front: FrontTier<PoolKey, usize>,
-    len: usize,
+    slots: HashMap<PoolKey, Slot>,
     tick: u64,
 }
 
@@ -196,24 +177,12 @@ impl std::fmt::Debug for EnginePool {
 impl EnginePool {
     /// Creates an empty pool.
     pub fn new(config: PoolConfig) -> Self {
-        EnginePool {
-            config,
-            inner: Mutex::new(Inner {
-                slots: Vec::new(),
-                free: Vec::new(),
-                buckets: HashMap::new(),
-                // At least 64 slots so the front tier is never the
-                // capacity bottleneck for a default-sized pool.
-                front: FrontTier::new("pool", config.capacity.max(64)),
-                len: 0,
-                tick: 0,
-            }),
-        }
+        EnginePool { config, inner: Mutex::new(Inner { slots: HashMap::new(), tick: 0 }) }
     }
 
     /// Resident engine count (including ones still preparing).
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len
+        self.inner.lock().unwrap().slots.len()
     }
 
     /// Whether the pool is empty.
@@ -235,62 +204,29 @@ impl EnginePool {
         key: PoolKey,
         build: impl FnOnce() -> Result<Box<dyn SpmmEngine>, DtcError>,
     ) -> Result<Fetched, DtcError> {
-        self.fetch(key.primary(), key, build)
-    }
-
-    /// The pool core, keyed explicitly so tests can force primary-hash
-    /// collisions.
-    fn fetch(
-        &self,
-        primary: u64,
-        key: PoolKey,
-        build: impl FnOnce() -> Result<Box<dyn SpmmEngine>, DtcError>,
-    ) -> Result<Fetched, DtcError> {
         let (cell, hit) = {
             let mut inner = self.inner.lock().unwrap();
             let inner = &mut *inner;
             inner.tick += 1;
             let tick = inner.tick;
-            match Self::resident_idx(inner, primary, &key) {
-                Some(idx) => {
-                    let slot = inner.slots[idx].as_mut().expect("resident slot");
-                    slot.uses += 1;
-                    slot.last_use = tick;
-                    crate::telemetry::pool_hits().incr();
-                    (Arc::clone(&slot.cell), true)
+            if let Some(slot) = inner.slots.get_mut(&key) {
+                slot.uses += 1;
+                slot.last_use = tick;
+                crate::telemetry::pool_hits().incr();
+                (Arc::clone(&slot.cell), true)
+            } else {
+                if inner.slots.len() >= self.config.capacity {
+                    self.evict_lru(inner)?;
                 }
-                None => {
-                    if inner.len >= self.config.capacity {
-                        self.evict_lru(inner)?;
-                    }
-                    let cell: EngineCell = Arc::new(OnceLock::new());
-                    let slot = Slot {
-                        key: key.clone(),
-                        primary,
-                        cell: Arc::clone(&cell),
-                        uses: 1,
-                        last_use: tick,
-                    };
-                    let idx = match inner.free.pop() {
-                        Some(i) => {
-                            inner.slots[i] = Some(slot);
-                            i
-                        }
-                        None => {
-                            inner.slots.push(Some(slot));
-                            inner.slots.len() - 1
-                        }
-                    };
-                    inner.buckets.entry(primary).or_default().push(idx);
-                    inner.front.insert(primary, key.clone(), idx);
-                    inner.len += 1;
-                    // The protocol invariant the sched lints audit: the slot
-                    // is filed (here, under the pool lock) BEFORE the engine
-                    // build runs, so same-key callers coalesce onto the cell.
-                    log_pool_events(&[PoolEvent::Insert { primary }]);
-                    crate::telemetry::pool_misses().incr();
-                    (cell, false)
-                }
+                let cell: EngineCell = Arc::new(OnceLock::new());
+                let slot = Slot { cell: Arc::clone(&cell), uses: 1, last_use: tick };
+                inner.slots.insert(key.clone(), slot);
+                // The protocol invariant the sched lints audit: the slot
+                // is filed (here, under the pool lock) BEFORE the engine
+                // build runs, so same-key callers coalesce onto the cell.
+                log_pool_event(|| PoolEvent::Insert { primary: key.primary() });
+                crate::telemetry::pool_misses().incr();
+                (cell, false)
             }
         };
         // Prepare outside the pool lock: other keys must not wait on this
@@ -300,7 +236,7 @@ impl EnginePool {
                 let _span = dtc_telemetry::span("serve.prepare");
                 let built = build().map(Arc::from);
                 if built.is_ok() {
-                    log_pool_events(&[PoolEvent::Publish { primary }]);
+                    log_pool_event(|| PoolEvent::Publish { primary: key.primary() });
                 }
                 built
             })
@@ -308,44 +244,15 @@ impl EnginePool {
         match result {
             Ok(engine) => Ok(Fetched { engine, hit }),
             Err(e) => {
-                // Drop the failed slot so the next request can retry.
+                // Drop the failed slot so the next request can retry —
+                // unless a later request already replaced it.
                 let mut inner = self.inner.lock().unwrap();
-                let inner = &mut *inner;
-                if let Some(idx) = (0..inner.slots.len()).find(|&i| {
-                    inner.slots[i]
-                        .as_ref()
-                        .is_some_and(|s| s.key == key && Arc::ptr_eq(&s.cell, &cell))
-                }) {
-                    Self::remove_slot(inner, idx);
+                if inner.slots.get(&key).is_some_and(|s| Arc::ptr_eq(&s.cell, &cell)) {
+                    Self::remove_slot(&mut inner, &key);
                 }
                 Err(e)
             }
         }
-    }
-
-    /// Two-tier resident lookup: a lossy front probe on the primary hash
-    /// (verified by full [`PoolKey`] equality), falling through to the
-    /// exact bucket walk, which refills the front slot on a hit.
-    fn resident_idx(inner: &mut Inner, primary: u64, key: &PoolKey) -> Option<usize> {
-        if let Some(idx) = inner.front.get(primary, key) {
-            // Arena indices are reused, so re-verify against the slot
-            // itself. Removal invalidates the front entry in the same
-            // critical section, so this only fires if the global switch
-            // was off at removal time — correctness must not depend on
-            // the switch's history either way.
-            if inner.slots.get(idx).and_then(Option::as_ref).is_some_and(|s| s.key == *key) {
-                return Some(idx);
-            }
-            inner.front.invalidate(primary, key);
-        }
-        let idx = inner
-            .buckets
-            .get(&primary)?
-            .iter()
-            .copied()
-            .find(|&i| inner.slots[i].as_ref().is_some_and(|s| s.key == *key))?;
-        inner.front.insert(primary, key.clone(), idx);
-        Some(idx)
     }
 
     /// Drops every resident engine prepared from the matrix identified by
@@ -354,66 +261,43 @@ impl EnginePool {
     ///
     /// This is the pool's half of the delta-update invalidation contract:
     /// after a tenant edits a matrix in place, every pooled engine keyed by
-    /// the pre-edit [`KeyMaterial`] is stale, and the front tier is purged
-    /// **by key** (inside [`remove_slot`](Self::remove_slot)'s critical
-    /// section) rather than by slot index, so a colliding resident entry
-    /// for a different key is left untouched. Entries still inside their
+    /// the pre-edit [`KeyMaterial`] is stale. Entries still inside their
     /// warmup pin are removed too — staleness overrides amortization.
     pub fn invalidate_material(&self, material: &KeyMaterial) -> usize {
         let mut inner = self.inner.lock().unwrap();
-        let inner = &mut *inner;
-        let stale: Vec<usize> = (0..inner.slots.len())
-            .filter(|&i| inner.slots[i].as_ref().is_some_and(|s| s.key.material == *material))
-            .collect();
-        for &idx in &stale {
-            Self::remove_slot(inner, idx);
+        let before = inner.slots.len();
+        inner.slots.retain(|key, _| {
+            let stale = key.material == *material;
+            if stale {
+                log_pool_event(|| PoolEvent::Remove { primary: key.primary() });
+            }
+            !stale
+        });
+        let removed = before - inner.slots.len();
+        if removed > 0 {
+            crate::telemetry::pool_invalidations().add(removed as u64);
         }
-        if !stale.is_empty() {
-            crate::telemetry::pool_invalidations().add(stale.len() as u64);
-        }
-        stale.len()
+        removed
     }
 
-    /// Unfiles a slot from the arena, its bucket, and the front tier.
-    fn remove_slot(inner: &mut Inner, idx: usize) {
-        let slot = inner.slots[idx].take().expect("removing a resident slot");
-        if let Some(bucket) = inner.buckets.get_mut(&slot.primary) {
-            bucket.retain(|&i| i != idx);
-            if bucket.is_empty() {
-                inner.buckets.remove(&slot.primary);
-            }
-        }
-        inner.front.invalidate(slot.primary, &slot.key);
-        // One append: removal and front invalidation happen in this same
-        // pool critical section, and the lint checks they stay adjacent.
-        log_pool_events(&[
-            PoolEvent::Remove { primary: slot.primary },
-            PoolEvent::FrontInvalidate { primary: slot.primary },
-        ]);
-        inner.free.push(idx);
-        inner.len -= 1;
+    /// Unfiles one slot and logs its removal.
+    fn remove_slot(inner: &mut Inner, key: &PoolKey) {
+        inner.slots.remove(key);
+        log_pool_event(|| PoolEvent::Remove { primary: key.primary() });
     }
 
     /// Evicts the least-recently-used entry whose warmup pin has expired.
     fn evict_lru(&self, inner: &mut Inner) -> Result<(), DtcError> {
-        let mut victim: Option<(u64, usize)> = None; // (last_use, idx)
-        for (i, slot) in inner.slots.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            if slot.uses < self.config.warmup_uses {
-                continue; // still pinned by warmup
-            }
-            if victim.is_none_or(|(lu, _)| slot.last_use < lu) {
-                victim = Some((slot.last_use, i));
-            }
-        }
-        match victim {
-            None => Err(DtcError::PoolExhausted { capacity: self.config.capacity }),
-            Some((_, i)) => {
-                Self::remove_slot(inner, i);
-                crate::telemetry::pool_evictions().incr();
-                Ok(())
-            }
-        }
+        let victim = inner
+            .slots
+            .iter()
+            .filter(|(_, slot)| slot.uses >= self.config.warmup_uses)
+            .min_by_key(|(_, slot)| slot.last_use)
+            .map(|(key, _)| key.clone())
+            .ok_or(DtcError::PoolExhausted { capacity: self.config.capacity })?;
+        Self::remove_slot(inner, &victim);
+        crate::telemetry::pool_evictions().incr();
+        Ok(())
     }
 }
 
@@ -462,27 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn crafted_primary_collision_is_served_correctly() {
-        // Two different matrices forced onto the SAME primary bucket: full
-        // key verification must keep them apart — tenant B must never
-        // receive tenant A's engine.
-        let pool = EnginePool::new(PoolConfig::default());
-        let config = EngineConfig::default();
-        let a = uniform(96, 96, 500, 9003);
-        let b = uniform(64, 64, 300, 9004);
-        let forced = 0xC011_1DED_C011_1DEDu64;
-        let ea = pool.fetch(forced, key_of(&a, &config), prepare_dtc(&a, &config)).unwrap();
-        let eb = pool.fetch(forced, key_of(&b, &config), prepare_dtc(&b, &config)).unwrap();
-        assert!(!eb.hit, "collision must be detected, not served");
-        assert_eq!(ea.engine.rows(), 96);
-        assert_eq!(eb.engine.rows(), 64, "B must get its own engine");
-        // Both now hit in the shared bucket.
-        assert!(pool.fetch(forced, key_of(&a, &config), prepare_dtc(&a, &config)).unwrap().hit);
-        assert!(pool.fetch(forced, key_of(&b, &config), prepare_dtc(&b, &config)).unwrap().hit);
-        assert_eq!(pool.len(), 2);
-    }
-
-    #[test]
     fn eviction_respects_warmup_pins() {
         // capacity 2, warmup 2: entries become evictable after 2 uses.
         let pool = EnginePool::new(PoolConfig { capacity: 2, warmup_uses: 2 });
@@ -509,16 +372,8 @@ mod tests {
         assert!(!pool.get_or_prepare(key_of(&a, &config), prepare_dtc(&a, &config)).unwrap().hit);
     }
 
-    /// Serializes the tests that toggle or observe the process-wide front
-    /// switch (cargo runs tests of one binary concurrently).
-    static SWITCH: Mutex<()> = Mutex::new(());
-
     #[test]
-    fn eviction_invalidates_the_front_tier() {
-        let _g = SWITCH.lock().unwrap();
-        // An evicted engine must be gone from BOTH tiers: a front entry
-        // surviving its slot's eviction would point at a recycled arena
-        // index and could hand one tenant another tenant's engine.
+    fn evicted_key_misses_and_is_prepared_again() {
         let pool = EnginePool::new(PoolConfig { capacity: 2, warmup_uses: 1 });
         let config = EngineConfig::default();
         let a = uniform(64, 64, 300, 9101);
@@ -528,39 +383,22 @@ mod tests {
         assert!(pool.get_or_prepare(key_of(&a, &config), prepare_dtc(&a, &config)).unwrap().hit);
         pool.get_or_prepare(key_of(&b, &config), prepare_dtc(&b, &config)).unwrap();
         assert!(pool.get_or_prepare(key_of(&b, &config), prepare_dtc(&b, &config)).unwrap().hit);
-        // C evicts A (the LRU); A's arena slot index is recycled for C.
+        // C evicts A, the least recently used.
         let fc = pool.get_or_prepare(key_of(&c, &config), prepare_dtc(&c, &config)).unwrap();
         assert!(!fc.hit);
         assert_eq!(fc.engine.rows(), 48);
-        // A must now be a full miss — never front-served from the stale slot.
+        // A is a full miss and gets its own engine back.
         let fa = pool.get_or_prepare(key_of(&a, &config), prepare_dtc(&a, &config)).unwrap();
-        assert!(!fa.hit, "evicted engine must not be served from the front tier");
+        assert!(!fa.hit, "an evicted key must miss");
         assert_eq!(fa.engine.rows(), 64);
     }
 
     #[test]
-    fn exact_only_pool_is_bitwise_identical() {
-        let _g = SWITCH.lock().unwrap();
-        // With the front tier disabled the exact bucket walk must resolve
-        // the very same resident engine (Arc identity).
-        let pool = EnginePool::new(PoolConfig::default());
-        let config = EngineConfig::default();
-        let a = uniform(80, 80, 400, 9104);
-        let two_tier = pool.get_or_prepare(key_of(&a, &config), prepare_dtc(&a, &config)).unwrap();
-        dtc_par::set_front_tier_enabled(false);
-        let exact_only =
-            pool.get_or_prepare(key_of(&a, &config), prepare_dtc(&a, &config)).unwrap();
-        dtc_par::set_front_tier_enabled(true);
-        assert!(exact_only.hit);
-        assert!(Arc::ptr_eq(&two_tier.engine, &exact_only.engine));
-    }
-
-    #[test]
     fn pool_event_stream_passes_the_protocol_lints() {
-        let _g = SWITCH.lock().unwrap();
-        // Capture the real protocol: two misses, hits, then an eviction.
-        // The captured stream must satisfy every pool lint — insert before
-        // publish, remove adjacent to its front invalidation.
+        // Capture the real protocol over every removal path — LRU
+        // eviction, a material purge and a failed prepare. The captured
+        // stream must satisfy every pool lint, and its net inserts must
+        // equal the resident count.
         set_pool_event_log(true);
         let _ = drain_pool_events();
         let pool = EnginePool::new(PoolConfig { capacity: 2, warmup_uses: 1 });
@@ -568,22 +406,44 @@ mod tests {
         let a = uniform(64, 64, 300, 9201);
         let b = uniform(64, 64, 300, 9202);
         let c = uniform(48, 48, 200, 9203);
-        pool.get_or_prepare(key_of(&a, &config), prepare_dtc(&a, &config)).unwrap();
-        pool.get_or_prepare(key_of(&a, &config), prepare_dtc(&a, &config)).unwrap();
-        pool.get_or_prepare(key_of(&b, &config), prepare_dtc(&b, &config)).unwrap();
-        pool.get_or_prepare(key_of(&b, &config), prepare_dtc(&b, &config)).unwrap();
-        pool.get_or_prepare(key_of(&c, &config), prepare_dtc(&c, &config)).unwrap(); // evicts A
+        // Non-square matrix: TCGNN preparation fails.
+        let bad = uniform(64, 32, 128, 9204);
+        let (ka, kb, kc) = (key_of(&a, &config), key_of(&b, &config), key_of(&c, &config));
+        let kbad = PoolKey::new(EngineKind::Tcgnn, &config, KeyMaterial::of(&bad));
+        pool.get_or_prepare(ka.clone(), prepare_dtc(&a, &config)).unwrap();
+        pool.get_or_prepare(ka.clone(), prepare_dtc(&a, &config)).unwrap();
+        pool.get_or_prepare(kb.clone(), prepare_dtc(&b, &config)).unwrap();
+        pool.get_or_prepare(kb.clone(), prepare_dtc(&b, &config)).unwrap();
+        pool.get_or_prepare(kc.clone(), prepare_dtc(&c, &config)).unwrap(); // evicts A
+        assert_eq!(pool.invalidate_material(&KeyMaterial::of(&b)), 1);
+        pool.get_or_prepare(kbad.clone(), || dtc_core::prepare(EngineKind::Tcgnn, &config, &bad))
+            .unwrap_err();
         set_pool_event_log(false);
-        let events = drain_pool_events();
 
-        let pa = key_of(&a, &config).primary();
-        assert!(events.contains(&PoolEvent::Insert { primary: pa }), "{events:?}");
-        assert!(events.contains(&PoolEvent::Publish { primary: pa }), "{events:?}");
-        let rm = events
-            .iter()
-            .position(|&e| e == PoolEvent::Remove { primary: pa })
-            .expect("A was evicted");
-        assert_eq!(events.get(rm + 1), Some(&PoolEvent::FrontInvalidate { primary: pa }));
+        // Other tests in this binary may emit events concurrently; keep
+        // only this pool's keys.
+        let ours = [&ka, &kb, &kc, &kbad].map(PoolKey::primary);
+        let events: Vec<PoolEvent> = drain_pool_events()
+            .into_iter()
+            .filter(|e| {
+                let (PoolEvent::Insert { primary }
+                | PoolEvent::Publish { primary }
+                | PoolEvent::Remove { primary }) = *e;
+                ours.contains(&primary)
+            })
+            .collect();
+        for (key, path) in [(&ka, "eviction"), (&kb, "purge"), (&kbad, "failed prepare")] {
+            let removed = PoolEvent::Remove { primary: key.primary() };
+            assert!(events.contains(&removed), "{path} must log a removal: {events:?}");
+        }
+        assert!(
+            !events.contains(&PoolEvent::Publish { primary: kbad.primary() }),
+            "a failed prepare must not publish: {events:?}"
+        );
+        let count = |f: fn(&PoolEvent) -> bool| events.iter().filter(|e| f(e)).count();
+        let inserts = count(|e| matches!(e, PoolEvent::Insert { .. }));
+        let removes = count(|e| matches!(e, PoolEvent::Remove { .. }));
+        assert_eq!(inserts - removes, pool.len(), "{events:?}");
 
         let diags = dtc_verify::verify_pool_events("pool", &events);
         assert!(diags.is_empty(), "{diags:?}");

@@ -303,9 +303,9 @@ impl SpmmServer {
     ///
     /// Two layers are purged, each by key so colliding residents survive:
     /// the engine pool (every family/device/config slot whose
-    /// [`KeyMaterial`] matches, front tier included) and the process-wide
-    /// ME-TCF conversion cache in `dtc-core` (exact bucket and lossy front
-    /// tier). Queued requests are untouched: they carry their own
+    /// [`KeyMaterial`] matches) and the process-wide ME-TCF conversion
+    /// cache in `dtc-core` (exact bucket and lossy front tier). Queued
+    /// requests are untouched: they carry their own
     /// `Arc<CsrMatrix>` snapshot, and a request admitted after the edit
     /// carries post-edit key material, so it can never resolve to a
     /// pre-edit engine once this returns.

@@ -9,6 +9,9 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== cargo test (perfbench driver)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test (sim compression equivalence)"
 cargo test -q --test sim_compression
 
