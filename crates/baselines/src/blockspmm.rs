@@ -12,7 +12,7 @@ use crate::util::{
 };
 use crate::SpmmKernel;
 use dtc_formats::tf32::round_to_tf32;
-use dtc_formats::{BellMatrix, CsrMatrix, DenseMatrix, FormatError};
+use dtc_formats::{BellMatrix, CsrMatrix, DenseMatrix, FormatError, Precision};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, SectorStream, TbWork};
 
@@ -67,6 +67,7 @@ impl SpmmKernel for BlockSpmm {
         let n = b.cols();
         let bs = self.bell.block_size();
         let mut c = DenseMatrix::zeros(self.rows(), n);
+        let b_tc = Precision::Tf32.round_dense(b);
         for br in 0..self.bell.num_block_rows() {
             for slot in 0..self.bell.blocks_per_row() {
                 let Some(bc) = self.bell.slot_block_col(br, slot) else { continue };
@@ -92,8 +93,8 @@ impl SpmmKernel for BlockSpmm {
                             continue;
                         }
                         let a_v = round_to_tf32(v);
-                        for (o, &bv) in out.iter_mut().zip(b.row(gc)) {
-                            *o += a_v * round_to_tf32(bv);
+                        for (o, &bv) in out.iter_mut().zip(b_tc.row(gc)) {
+                            *o += a_v * bv;
                         }
                     }
                 }

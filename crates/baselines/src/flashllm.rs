@@ -11,7 +11,7 @@
 use crate::util::{check_spmm_dims, distinct_col_count, estimate_b_hit_rate, sectors_per_b_row};
 use crate::SpmmKernel;
 use dtc_formats::tf32::round_to_tf32;
-use dtc_formats::{CsrMatrix, DenseMatrix, FormatError};
+use dtc_formats::{CsrMatrix, DenseMatrix, FormatError, Precision};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, TbWork};
 
@@ -103,12 +103,13 @@ impl SpmmKernel for FlashLlmSpmm {
         // non-zeros affect numerics.
         let n = b.cols();
         let mut c = DenseMatrix::zeros(self.rows(), n);
+        let b_tc = Precision::Tf32.round_dense(b);
         for (r, col, v) in self.a.iter() {
             let a_v = round_to_tf32(v);
-            let b_row = b.row(col);
+            let b_row = b_tc.row(col);
             let out = c.row_mut(r);
             for (o, &bv) in out.iter_mut().zip(b_row) {
-                *o += a_v * round_to_tf32(bv);
+                *o += a_v * bv;
             }
         }
         Ok(c)

@@ -14,7 +14,7 @@ use crate::util::{
 };
 use crate::SpmmKernel;
 use dtc_formats::tf32::round_to_tf32;
-use dtc_formats::{Condensed, CsrMatrix, DenseMatrix, FormatError};
+use dtc_formats::{Condensed, CsrMatrix, DenseMatrix, FormatError, Precision};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, SectorStream, TbWork};
 
@@ -115,11 +115,12 @@ impl SpmmKernel for HybridSplitSpmm {
         // Dense part on Tensor Cores (TF32), residue on CUDA cores (FP32).
         let n = b.cols();
         let mut c = DenseMatrix::zeros(self.rows(), n);
+        let b_tc = Precision::Tf32.round_dense(b);
         for (r, col, v) in self.dense.iter() {
             let a_v = round_to_tf32(v);
             let out = c.row_mut(r);
-            for (o, &bv) in out.iter_mut().zip(b.row(col)) {
-                *o += a_v * round_to_tf32(bv);
+            for (o, &bv) in out.iter_mut().zip(b_tc.row(col)) {
+                *o += a_v * bv;
             }
         }
         let rem = self.sparse.spmm_reference(b)?;

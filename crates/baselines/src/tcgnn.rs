@@ -18,7 +18,7 @@ use crate::util::{
 };
 use crate::SpmmKernel;
 use dtc_formats::tf32::round_to_tf32;
-use dtc_formats::{Condensed, CsrMatrix, DenseMatrix, FormatError, TcfMatrix};
+use dtc_formats::{Condensed, CsrMatrix, DenseMatrix, FormatError, Precision, TcfMatrix};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, SectorStream, TbWork};
 
@@ -87,7 +87,9 @@ impl SpmmKernel for TcgnnSpmm {
         if n == 0 {
             return Ok(c);
         }
-        // Tensor-Core path: multiplicands rounded to TF32, FP32 accumulate.
+        // Tensor-Core path: multiplicands rounded to TF32 (B once, up
+        // front), FP32 accumulate.
+        let b_tc = Precision::Tf32.round_dense(b);
         // One task per 16-row window, exactly the kernel's TB decomposition;
         // each window writes only its own strip of C, in serial entry order.
         let windows: Vec<_> = self.condensed.windows().collect();
@@ -98,10 +100,10 @@ impl SpmmKernel for TcgnnSpmm {
                 for e in block.entries {
                     let local_row = e.local_row as usize;
                     let a_v = round_to_tf32(e.value);
-                    let b_row = b.row(e.orig_col as usize);
+                    let b_row = b_tc.row(e.orig_col as usize);
                     let out = &mut strip[local_row * n..(local_row + 1) * n];
                     for (o, &bv) in out.iter_mut().zip(b_row) {
-                        *o += a_v * round_to_tf32(bv);
+                        *o += a_v * bv;
                     }
                 }
             }

@@ -11,7 +11,7 @@ use crate::util::{
 };
 use crate::SpmmKernel;
 use dtc_formats::tf32::round_to_tf32;
-use dtc_formats::{CsrMatrix, CvseMatrix, DenseMatrix, FormatError};
+use dtc_formats::{CsrMatrix, CvseMatrix, DenseMatrix, FormatError, Precision};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, SectorStream, TbWork};
 
@@ -67,11 +67,12 @@ impl SpmmKernel for VectorSparseSpmm {
         let n = b.cols();
         let vlen = self.cvse.vector_len();
         let mut c = DenseMatrix::zeros(self.rows(), n);
+        let b_tc = Precision::Tf32.round_dense(b);
         for g in 0..self.cvse.num_groups() {
             let (cols, vals) = self.cvse.group(g);
             let mask = self.cvse.group_mask(g);
             for (i, &col) in cols.iter().enumerate() {
-                let b_row = b.row(col as usize);
+                let b_row = b_tc.row(col as usize);
                 for lr in 0..vlen {
                     let v = vals[i * vlen + lr];
                     if !mask[i * vlen + lr] {
@@ -88,7 +89,7 @@ impl SpmmKernel for VectorSparseSpmm {
                     let a_v = round_to_tf32(v);
                     let out = c.row_mut(gr);
                     for (o, &bv) in out.iter_mut().zip(b_row) {
-                        *o += a_v * round_to_tf32(bv);
+                        *o += a_v * bv;
                     }
                 }
             }

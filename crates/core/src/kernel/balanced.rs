@@ -143,8 +143,8 @@ impl SpmmKernel for BalancedDtcKernel {
         // Per-TB lowering fans out over threads; TBs only read the shared
         // block/window tables, and the reduction below keeps TB order. TBs
         // hold a fixed block count but not fixed nnz, so shards are cut at
-        // nnz quantiles; the touched-window list leases arena scratch
-        // instead of allocating per TB.
+        // nnz quantiles. The epilogue is charged as each touched window is
+        // first seen, so a TB needs no window list (and no scratch).
         let tc_offset = metcf.tc_offset();
         let weights: Vec<u64> = (0..num_tbs)
             .map(|tb_idx| {
@@ -154,12 +154,12 @@ impl SpmmKernel for BalancedDtcKernel {
             })
             .collect();
         let plan = dtc_par::ShardPlan::weighted(dtc_par::num_threads(), &weights);
-        let tbs = dtc_par::par_map_collect_plan(&plan, |tb_idx, scratch| {
+        let tbs = dtc_par::par_map_collect_plan(&plan, |tb_idx, _| {
             let lo = tb_idx * self.blocks_per_tb;
             let hi = (lo + self.blocks_per_tb).min(metcf.num_tc_blocks());
             let mut tb = TbWork { overlap_a_fetch: opts.sdb, ..TbWork::default() };
             tb.iters = (hi - lo) as f64;
-            let mut windows_touched = scratch.usize_buf();
+            let mut last_window = usize::MAX;
             let tc_mult = self.inner.precision().tc_throughput_multiplier();
             for t in lo..hi {
                 let cost = DtcKernel::block_cost(metcf, opts, t, n_f, b_row_sectors);
@@ -169,9 +169,20 @@ impl SpmmKernel for BalancedDtcKernel {
                 tb.hmma_count += cost.hmma_count;
                 tb.lsu_a_sectors += cost.lsu_a;
                 tb.lsu_b_sectors += cost.lsu_b;
+                // Epilogue: every touched window accumulates its 16xN strip.
+                // Shared windows use atomic adds — those resolve at the L2
+                // (an issue/latency cost via atom_ops, not DRAM traffic);
+                // only the final strip eviction reaches DRAM, so each TB
+                // carries its share of that write-back (the §4.5.1 online
+                // overhead).
                 let w = block_window[t];
-                if windows_touched.last() != Some(&w) {
-                    windows_touched.push(w);
+                if w != last_window {
+                    last_window = w;
+                    let splits = window_tb_count[w] as f64;
+                    tb.epilogue_sectors += 16.0 * b_row_sectors / splits;
+                    if window_tb_count[w] > 1 {
+                        tb.atom_ops += 16.0 * n_f / 32.0; // warp atomics in L2
+                    }
                 }
                 if record_b_addrs {
                     for &c in metcf.block_cols(t) {
@@ -179,19 +190,6 @@ impl SpmmKernel for BalancedDtcKernel {
                     }
                 }
             }
-            // Epilogue: every touched window accumulates its 16xN strip.
-            // Shared windows use atomic adds — those resolve at the L2 (an
-            // issue/latency cost via atom_ops, not DRAM traffic); only the
-            // final strip eviction reaches DRAM, so each TB carries its
-            // share of that write-back (the §4.5.1 online overhead).
-            for &w in &windows_touched {
-                let splits = window_tb_count[w] as f64;
-                tb.epilogue_sectors += 16.0 * b_row_sectors / splits;
-                if window_tb_count[w] > 1 {
-                    tb.atom_ops += 16.0 * n_f / 32.0; // warp atomics in L2
-                }
-            }
-            scratch.recycle_usize(windows_touched);
             tb
         });
         for tb in tbs {

@@ -7,6 +7,11 @@
 //! functions plus their Tensor-Core throughput multipliers.
 
 use crate::tf32::round_to_tf32;
+use crate::DenseMatrix;
+
+/// Elements per task when [`Precision::round_dense`] fans out (64 KiB of
+/// `f32`: each task copies and rounds an L2-resident run).
+const ROUND_CHUNK: usize = 1 << 14;
 
 /// A Tensor-Core multiplicand precision. Accumulation is FP32 in all cases
 /// (the `*.f32.<in>.<in>.f32` `mma` variants).
@@ -34,6 +39,32 @@ impl Precision {
             Precision::Fp16 => round_to_fp16(x),
             Precision::Bf16 => round_to_bf16(x),
         }
+    }
+
+    /// Rounds every element of `xs` in place — the bulk form of
+    /// [`Precision::round`], with the precision dispatch hoisted out of the
+    /// element loop.
+    pub fn round_slice(self, xs: &mut [f32]) {
+        match self {
+            Precision::Tf32 => xs.iter_mut().for_each(|x| *x = round_to_tf32(*x)),
+            Precision::Fp16 => xs.iter_mut().for_each(|x| *x = round_to_fp16(*x)),
+            Precision::Bf16 => xs.iter_mut().for_each(|x| *x = round_to_bf16(*x)),
+        }
+    }
+
+    /// A copy of `m` with every element rounded to this precision: the
+    /// Tensor-Core B operand, staged once per execute so a kernel's
+    /// multiply-add loop reads already-rounded values. Copy and rounding
+    /// run together over `dtc_par` chunks, so both scale with the threads.
+    pub fn round_dense(self, m: &DenseMatrix) -> DenseMatrix {
+        let src = m.as_slice();
+        let mut out = DenseMatrix::zeros(m.rows(), m.cols());
+        dtc_par::par_chunks_mut(out.as_mut_slice(), ROUND_CHUNK, |i, chunk| {
+            let start = i * ROUND_CHUNK;
+            chunk.copy_from_slice(&src[start..start + chunk.len()]);
+            self.round_slice(chunk);
+        });
+        out
     }
 
     /// Worst-case relative rounding error (half a ULP of the mantissa).
@@ -165,6 +196,71 @@ mod tests {
         assert_eq!(Precision::Tf32.tc_throughput_multiplier(), 1.0);
         assert_eq!(Precision::Fp16.tc_throughput_multiplier(), 2.0);
         assert_eq!(Precision::Bf16.tc_throughput_multiplier(), 2.0);
+    }
+
+    /// Bit patterns where rounding is easiest to get wrong: signed zeros,
+    /// NaN, ±Inf, f32 subnormals (incl. the largest), FP16 overflow and
+    /// its boundary, FP16 subnormals, and exact round-to-nearest-even ties
+    /// at both the 13-bit (TF32/FP16) and 16-bit (BF16) cut.
+    fn edge_values() -> Vec<f32> {
+        let mut v = vec![
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            -f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            65504.0,
+            f32::from_bits(0x477F_EFFF), // just below the FP16 overflow cut
+            65520.0,
+            -1e6,
+            f32::MAX,
+            1e-6,
+            -6.1e-5,
+            f32::from_bits(0x3F80_1000), // TF32 tie, even mantissa: rounds down
+            f32::from_bits(0x3F80_3000), // TF32 tie, odd mantissa: rounds up
+            f32::from_bits(0xBF80_1000),
+            f32::from_bits(0x3F80_8000), // BF16 tie, even
+            f32::from_bits(0x3F81_8000), // BF16 tie, odd
+            f32::from_bits(0x7F7F_F000), // tie just below f32::MAX
+        ];
+        v.extend((0..200).map(|i| ((i as f32) * 0.731).sin() * 1e3));
+        v
+    }
+
+    #[test]
+    fn round_slice_matches_elementwise_round() {
+        for p in [Precision::Tf32, Precision::Fp16, Precision::Bf16] {
+            let xs = edge_values();
+            let mut bulk = xs.clone();
+            p.round_slice(&mut bulk);
+            for (&x, &r) in xs.iter().zip(&bulk) {
+                assert_eq!(r.to_bits(), p.round(x).to_bits(), "{p:?} at {:#010x}", x.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn round_dense_matches_round_slice_at_any_thread_count() {
+        let xs = edge_values();
+        // More rows than one chunk, with a short final chunk.
+        let m = DenseMatrix::from_fn(ROUND_CHUNK / 7 + 3, 7, |r, c| xs[(r * 7 + c) % xs.len()]);
+        for p in [Precision::Tf32, Precision::Fp16, Precision::Bf16] {
+            let mut want = m.as_slice().to_vec();
+            p.round_slice(&mut want);
+            for threads in [1, 4] {
+                dtc_par::set_threads(Some(threads));
+                let got = p.round_dense(&m);
+                dtc_par::set_threads(None);
+                assert_eq!((got.rows(), got.cols()), (m.rows(), m.cols()));
+                let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.as_slice()), bits(&want), "{p:?} threads={threads}");
+            }
+        }
     }
 
     #[test]

@@ -45,13 +45,6 @@ pub fn round_to_tf32(x: f32) -> f32 {
     f32::from_bits(rounded)
 }
 
-/// Rounds a slice in place to TF32 precision.
-pub fn round_slice_to_tf32(xs: &mut [f32]) {
-    for x in xs {
-        *x = round_to_tf32(*x);
-    }
-}
-
 /// A TF32 multiply-accumulate: inputs rounded to TF32, product and
 /// accumulation in FP32 — the contract of `mma.sync.*.tf32`.
 #[inline]
@@ -137,12 +130,5 @@ mod tests {
         let b = 9.876_543_f32;
         let expect = round_to_tf32(a) * round_to_tf32(b) + 10.0;
         assert_eq!(tf32_fma(a, b, 10.0), expect);
-    }
-
-    #[test]
-    fn slice_rounding() {
-        let mut v = vec![1.0 + f32::EPSILON; 4];
-        round_slice_to_tf32(&mut v);
-        assert!(v.iter().all(|&x| x == 1.0));
     }
 }

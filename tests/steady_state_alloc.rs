@@ -56,7 +56,7 @@ static ALLOC: HotCountingAlloc = HotCountingAlloc;
 #[test]
 fn kernel_hot_loops_do_not_allocate_in_steady_state() {
     // Community structure gives uneven windows, so the balanced kernel's
-    // touched-window scratch and the weighted shard cuts are both exercised.
+    // split windows and the weighted shard cuts are both exercised.
     let a = gen::community(2048, 2048, 16, 24.0, 0.9, 99);
     let b = DenseMatrix::from_fn(2048, 32, |r, c| ((r + 2 * c) % 9) as f32 * 0.5 - 1.0);
     let device = Device::rtx4090();
