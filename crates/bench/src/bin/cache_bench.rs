@@ -6,7 +6,7 @@
 //! then times a repeated-key lookup loop twice — exact-only
 //! (`set_front_tier_enabled(false)`) and two-tier — reporting ns/lookup
 //! (best of several repeats) and the front-tier hit rate. Writes
-//! `BENCH_cache.json`.
+//! `BENCH_cache.json` (`BENCH_cache_smoke.json` under `--smoke`).
 //!
 //! Every run first pins correctness: an end-to-end pipeline execute must
 //! be **bitwise identical** with the front tier off and on (at 1 and 4
@@ -282,6 +282,7 @@ fn main() {
         ),
     ])
     .render();
-    std::fs::write("BENCH_cache.json", &json).expect("write BENCH_cache.json");
-    println!("\nwrote BENCH_cache.json");
+    let artifact = if smoke { "BENCH_cache_smoke.json" } else { "BENCH_cache.json" };
+    std::fs::write(artifact, &json).expect("write cache artifact");
+    println!("\nwrote {artifact}");
 }

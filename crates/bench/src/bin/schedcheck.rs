@@ -11,8 +11,9 @@
 //!
 //! Modes: default sweeps the full shape lineup (≥ 8 shapes, ≥ 10⁴
 //! schedules — the run fails if either floor is missed); `--smoke` runs
-//! three small shapes for CI. Writes `SCHEDCHECK.json` and exits nonzero
-//! on any error-severity diagnostic.
+//! three small shapes for CI. Writes `SCHEDCHECK.json`
+//! (`SCHEDCHECK_smoke.json` under `--smoke`) and exits nonzero on any
+//! error-severity diagnostic.
 
 use dtc_par::ShardPlan;
 use dtc_sched::{check_plan, workspace_lock_graph, CheckOptions, SchedReport};
@@ -126,9 +127,10 @@ fn main() {
     }
 
     let json = report.to_json();
-    std::fs::write("SCHEDCHECK.json", &json).expect("write SCHEDCHECK.json");
+    let artifact = if smoke { "SCHEDCHECK_smoke.json" } else { "SCHEDCHECK.json" };
+    std::fs::write(artifact, &json).expect("write schedcheck artifact");
     println!(
-        "{} plans, {} schedules explored, {} errors — wrote SCHEDCHECK.json",
+        "{} plans, {} schedules explored, {} errors — wrote {artifact}",
         report.plans.len(),
         report.schedules_total(),
         report.errors(),

@@ -12,7 +12,8 @@
 //! **bitwise-equal** to executing the same engine directly.
 //!
 //! `--smoke` runs a reduced sweep and gates CI: steady-state pool hit
-//! rate ≥ 90%, finite latency percentiles, and the bitwise check.
+//! rate ≥ 90%, finite latency percentiles, and the bitwise check. It
+//! writes `BENCH_serve_smoke.json`, leaving the full-run file alone.
 //! `--verify` turns on the per-batch dtc-verify lint replay.
 
 use dtc_core::{EngineConfig, EngineKind};
@@ -195,8 +196,9 @@ fn main() {
         ("sweep", Json::arr(points.iter().map(json_point).collect())),
     ])
     .render();
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json ({} sweep points)", points.len());
+    let artifact = if smoke { "BENCH_serve_smoke.json" } else { "BENCH_serve.json" };
+    std::fs::write(artifact, &json).expect("write serve artifact");
+    println!("wrote {artifact} ({} sweep points)", points.len());
 
     // The CI gates: the repeated-matrix workload must be dominated by pool
     // hits once the 4 engines are resident, and latency must be measured.

@@ -11,7 +11,8 @@
 //!    through the cache model under a thread sweep, counting sectors/sec.
 //!
 //! Writes `BENCH_sim_perf.json`. `--smoke` runs a small trace once with no
-//! timing assertions, so CI can exercise the whole path cheaply.
+//! timing assertions, so CI can exercise the whole path cheaply, and
+//! writes `BENCH_sim_perf_smoke.json` instead.
 
 use dtc_sim::{
     l2_counts_over_trace, l2_shard_counts, simulate, Device, KernelTrace, SectorStream, SimOptions,
@@ -248,6 +249,7 @@ fn main() {
         ),
     ])
     .render();
-    std::fs::write("BENCH_sim_perf.json", &json).expect("write BENCH_sim_perf.json");
-    println!("wrote BENCH_sim_perf.json");
+    let artifact = if smoke { "BENCH_sim_perf_smoke.json" } else { "BENCH_sim_perf.json" };
+    std::fs::write(artifact, &json).expect("write sim-perf artifact");
+    println!("wrote {artifact}");
 }

@@ -8,9 +8,10 @@
 //!
 //! Modes: default sweeps the eight Table-1 representative matrices;
 //! `--suite` sweeps the 120-matrix SuiteSparse stand-in corpus; `--smoke`
-//! runs two small matrices for CI. Writes `TRACELINT.json` and exits
-//! nonzero when any error-severity diagnostic is produced — this is the CI
-//! gate that keeps lowering sites honest.
+//! runs two small matrices for CI. Writes `TRACELINT.json`
+//! (`TRACELINT_smoke.json` under `--smoke`) and exits nonzero when any
+//! error-severity diagnostic is produced — this is the CI gate that keeps
+//! lowering sites honest.
 //!
 //! Documentation modes (no sweep): `--explain <lint-id>` prints one
 //! lint's id, severity and summary from either registry; `--lints-md`
@@ -159,9 +160,10 @@ fn main() {
     }
 
     let json = report.to_json();
-    std::fs::write("TRACELINT.json", &json).expect("write TRACELINT.json");
+    let artifact = if smoke { "TRACELINT_smoke.json" } else { "TRACELINT.json" };
+    std::fs::write(artifact, &json).expect("write tracelint artifact");
     println!(
-        "{} cases: {} errors, {} warnings, {} infos — wrote TRACELINT.json",
+        "{} cases: {} errors, {} warnings, {} infos — wrote {artifact}",
         report.cases.len(),
         report.count(dtc_verify::Severity::Error),
         report.count(dtc_verify::Severity::Warning),

@@ -15,9 +15,6 @@
 /// assert_eq!(jaccard_sorted(&[1], &[2]), 0.0);
 /// ```
 pub fn jaccard_sorted(a: &[u32], b: &[u32]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 0.0;
-    }
     let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -30,8 +27,17 @@ pub fn jaccard_sorted(a: &[u32], b: &[u32]) -> f64 {
             }
         }
     }
-    let union = a.len() + b.len() - inter;
-    inter as f64 / union as f64
+    jaccard_from_counts(a.len(), b.len(), inter)
+}
+
+/// Jaccard index of two sets from their sizes and intersection size — the
+/// one formula every exact scorer in this crate shares, so that all of
+/// them produce the same `f64` bits. Two empty sets score 0.
+pub(crate) fn jaccard_from_counts(a_len: usize, b_len: usize, inter: usize) -> f64 {
+    if a_len == 0 && b_len == 0 {
+        return 0.0;
+    }
+    inter as f64 / (a_len + b_len - inter) as f64
 }
 
 /// MinHash estimate of the Jaccard index from two equal-length signatures:

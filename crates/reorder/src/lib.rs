@@ -31,6 +31,7 @@ mod degree;
 mod jaccard;
 mod louvain;
 mod lsh;
+mod marker;
 mod metis_like;
 mod minhash;
 mod tca;

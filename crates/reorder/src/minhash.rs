@@ -10,6 +10,19 @@ use rand::{RngExt, SeedableRng};
 
 const MERSENNE_PRIME: u64 = (1 << 61) - 1;
 
+/// `v % MERSENNE_PRIME` without a division: `2^61 ≡ 1 (mod P)`, so the
+/// high three bits fold onto the low 61 and one conditional subtraction
+/// lands in `0..P`. Equal to `%` for every `u64`.
+#[inline]
+fn mersenne_mod(v: u64) -> u64 {
+    let r = (v & MERSENNE_PRIME) + (v >> 61);
+    if r >= MERSENNE_PRIME {
+        r - MERSENNE_PRIME
+    } else {
+        r
+    }
+}
+
 /// A family of `k` universal hash functions producing MinHash signatures.
 #[derive(Debug, Clone)]
 pub struct MinHasher {
@@ -39,6 +52,36 @@ impl MinHasher {
     /// Signature of an index set. Empty sets produce all-`u64::MAX`
     /// signatures (the sentinel [`crate::jaccard_estimate`] never matches).
     pub fn signature(&self, set: &[u32]) -> Vec<u64> {
+        // One hash function at a time: each component is an independent
+        // min-reduction over the set, which keeps the multiplies of
+        // successive elements in flight together.
+        self.coeff_a
+            .iter()
+            .zip(&self.coeff_b)
+            .map(|(&a, &b)| {
+                set.iter()
+                    .map(|&x| mersenne_mod(a.wrapping_mul(x as u64 + 1).wrapping_add(b)))
+                    .fold(u64::MAX, u64::min)
+            })
+            .collect()
+    }
+
+    /// Combines two signatures into the signature of the *union* of the
+    /// underlying sets (component-wise min). Hierarchy II does not use it:
+    /// its cluster signatures come from a separately seeded hasher over the
+    /// deduplicated cluster column sets.
+    pub fn union_signature(a: &[u64], b: &[u64]) -> Vec<u64> {
+        assert_eq!(a.len(), b.len(), "signature length mismatch");
+        a.iter().zip(b).map(|(&x, &y)| x.min(y)).collect()
+    }
+}
+
+#[cfg(test)]
+impl MinHasher {
+    /// The signature as first written — `%` per hash, one pass over the
+    /// set with every component updated per element. Test oracle for
+    /// [`MinHasher::signature`].
+    pub(crate) fn signature_by_remainder(&self, set: &[u32]) -> Vec<u64> {
         let mut sig = vec![u64::MAX; self.k()];
         for &x in set {
             for (i, slot) in sig.iter_mut().enumerate() {
@@ -50,14 +93,6 @@ impl MinHasher {
             }
         }
         sig
-    }
-
-    /// Combines two signatures into the signature of the *union* of the
-    /// underlying sets (component-wise min) — used by Hierarchy II to get
-    /// cluster signatures without re-hashing.
-    pub fn union_signature(a: &[u64], b: &[u64]) -> Vec<u64> {
-        assert_eq!(a.len(), b.len(), "signature length mismatch");
-        a.iter().zip(b).map(|(&x, &y)| x.min(y)).collect()
     }
 }
 
@@ -98,6 +133,25 @@ mod tests {
         let b: Vec<u32> = vec![3, 4, 5];
         let u: Vec<u32> = vec![1, 2, 3, 4, 5];
         assert_eq!(MinHasher::union_signature(&h.signature(&a), &h.signature(&b)), h.signature(&u));
+    }
+
+    #[test]
+    fn mersenne_fold_matches_remainder() {
+        const P: u64 = MERSENNE_PRIME;
+        for v in [0, 1, P - 1, P, P + 1, 2 * P - 1, 2 * P, 2 * P + 1, u64::MAX - 1, u64::MAX] {
+            assert_eq!(mersenne_mod(v), v % P, "v = {v:#x}");
+        }
+        // Both sides of every multiple of P that fits in a u64.
+        for m in 1..=(u64::MAX / P) {
+            for v in [m * P - 1, m * P, m * P + 1] {
+                assert_eq!(mersenne_mod(v), v % P, "v = {v:#x}");
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x6d65_7273);
+        for _ in 0..100_000 {
+            let v = rng.random_range(0..=u64::MAX);
+            assert_eq!(mersenne_mod(v), v % P, "v = {v:#x}");
+        }
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! single-hierarchy ablations (`TCU-only`) and the LSH64 baseline from
 //! Huang et al. \[23\].
 
-use crate::{jaccard_sorted, lsh_candidate_pairs, LshParams, MinHasher, Reorderer};
-use dtc_formats::CsrMatrix;
+use crate::jaccard::jaccard_from_counts;
+use crate::{lsh_candidate_pairs, marker, LshParams, MinHasher, Reorderer};
+use dtc_formats::{CsrMatrix, BLOCK_WIDTH, WINDOW_HEIGHT};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// A candidate pair with its similarity, ordered for a max-heap.
+/// A candidate pair with its similarity. The greatest pair is the most
+/// similar one, ties going to the smaller `(i, j)`. Scores are finite and
+/// at least `+0.0`, so `total_cmp` orders them as `<` does.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ScoredPair {
     score: f64,
@@ -20,8 +22,7 @@ impl Eq for ScoredPair {}
 impl Ord for ScoredPair {
     fn cmp(&self, other: &Self) -> Ordering {
         self.score
-            .partial_cmp(&other.score)
-            .unwrap_or(Ordering::Equal)
+            .total_cmp(&other.score)
             .then_with(|| other.i.cmp(&self.i))
             .then_with(|| other.j.cmp(&self.j))
     }
@@ -34,9 +35,13 @@ impl PartialOrd for ScoredPair {
 }
 
 /// Greedy similarity-driven agglomeration (the body of both hierarchies of
-/// Algorithm 1): dequeue the most similar pair, merge their clusters, and
-/// retire clusters reaching `size_cap` from further merging. Returns the
-/// clusters as member lists (members keep their relative input order).
+/// Algorithm 1): take the pairs most similar first, merge their clusters,
+/// and retire clusters reaching `size_cap` from further merging. Returns
+/// the clusters as member lists (members keep their relative input order).
+///
+/// Algorithm 1 pops a priority queue; nothing is pushed while merging and
+/// `ScoredPair`'s order is total, so one descending sort yields the same
+/// sequence.
 fn agglomerate(
     num_items: usize,
     item_weight: impl Fn(usize) -> usize,
@@ -57,8 +62,9 @@ fn agglomerate(
         x
     }
 
-    let mut queue: BinaryHeap<ScoredPair> = scored_pairs.into_iter().collect();
-    while let Some(ScoredPair { i, j, .. }) = queue.pop() {
+    let mut queue = scored_pairs;
+    queue.sort_unstable_by(|x, y| y.cmp(x));
+    for ScoredPair { i, j, .. } in queue {
         let ri = find(&mut parent, i);
         let rj = find(&mut parent, j);
         if ri == rj || retired[ri] || retired[rj] {
@@ -111,7 +117,8 @@ pub struct TcaReorderer {
     pub min_similarity: f64,
     /// No-regression guard (an extension over the paper, which reorders
     /// unconditionally): if the reordering does not reduce the TC block
-    /// count, keep the original order. Costs one extra SGT condensing.
+    /// count, keep the original order. Costs two passes over the non-zeros
+    /// that count distinct columns per 16-row window.
     pub keep_if_no_gain: bool,
     /// Seed for the hash family.
     pub seed: u64,
@@ -139,7 +146,7 @@ impl TcaReorderer {
         // Per-row MinHash signatures and per-candidate exact Jaccard scores
         // are pure functions of their row(s); both passes fan out over
         // threads with slot-indexed collection, so the scored-pair list
-        // (and hence the merge heap) is identical to a serial pass at any
+        // (and hence the merge order) is identical to a serial pass at any
         // thread count and under any steal schedule. Shards are cut at nnz
         // quantiles: hashing/scoring cost tracks row length, and power-law
         // inputs are exactly where reordering matters.
@@ -149,17 +156,12 @@ impl TcaReorderer {
             hasher.signature(a.row_entries(r).0)
         });
         let candidates = lsh_candidate_pairs(&hasher, &signatures, &self.lsh);
-        let pair_weights: Vec<u64> = candidates
-            .iter()
-            .map(|&(i, j)| (a.row_entries(i).0.len() + a.row_entries(j).0.len()) as u64)
-            .collect();
-        let scored: Vec<ScoredPair> = dtc_par::par_map_collect_weighted(&pair_weights, |k| {
-            let (i, j) = candidates[k];
-            ScoredPair { score: jaccard_sorted(a.row_entries(i).0, a.row_entries(j).0), i, j }
-        })
-        .into_iter()
-        .filter(|p| p.score >= self.min_similarity)
-        .collect();
+        let scored = scored_pairs(
+            &candidates,
+            |r| a.row_entries(r).0,
+            a.cols(),
+            |score| score >= self.min_similarity,
+        );
         agglomerate(a.rows(), |_| 1, scored, self.block_height)
     }
 
@@ -212,20 +214,59 @@ impl TcaReorderer {
             max_bucket_pairs: self.lsh.max_bucket_pairs,
         };
         let candidates = lsh_candidate_pairs(&hasher, &cluster_sigs, &h2_lsh);
-        let pair_weights: Vec<u64> = candidates
-            .iter()
-            .map(|&(i, j)| (cluster_cols[i].len() + cluster_cols[j].len()) as u64)
-            .collect();
-        let scored: Vec<ScoredPair> = dtc_par::par_map_collect_weighted(&pair_weights, |k| {
-            let (i, j) = candidates[k];
-            ScoredPair { score: jaccard_sorted(&cluster_cols[i], &cluster_cols[j]), i, j }
-        })
-        .into_iter()
-        .filter(|p| p.score > 0.02)
-        .collect();
+        let scored =
+            scored_pairs(&candidates, |c| &cluster_cols[c], a.cols(), |score| score > 0.02);
         // Weight = number of row clusters per CC, capped at sm_num.
         agglomerate(clusters.len(), |_| 1, scored, self.sm_num)
     }
+}
+
+/// Exact Jaccard score of every candidate pair, keeping the pairs whose
+/// score `keep` accepts, in candidate order.
+///
+/// `candidates` is sorted by `(i, j)` (as [`lsh_candidate_pairs`] returns
+/// it), so the pairs sharing an `i` are contiguous: `set(i)` is marked in a
+/// column bitmap once, each `set(j)` counts its marked columns, and `set(i)`
+/// is cleared before the next `i`. The intersection and union are the same
+/// integers a sorted merge counts, so every score has the same bits.
+fn scored_pairs<'a>(
+    candidates: &[(usize, usize)],
+    set: impl Fn(usize) -> &'a [u32] + Sync,
+    cols: usize,
+    keep: impl Fn(f64) -> bool,
+) -> Vec<ScoredPair> {
+    let pair_work = |k: usize| {
+        let (i, j) = candidates[k];
+        (set(i).len() + set(j).len()) as u64
+    };
+    let scores = marker::par_marked_chunks(candidates.len(), cols, pair_work, |range, bits| {
+        let mut scores = Vec::with_capacity(range.len());
+        let mut marked: Option<usize> = None;
+        for &(i, j) in &candidates[range] {
+            if marked != Some(i) {
+                if let Some(prev) = marked {
+                    marker::clear(bits, set(prev));
+                }
+                for &c in set(i) {
+                    marker::mark(bits, c);
+                }
+                marked = Some(i);
+            }
+            let b = set(j);
+            let inter: usize = b.iter().map(|&c| marker::is_marked(bits, c)).sum();
+            scores.push(jaccard_from_counts(set(i).len(), b.len(), inter));
+        }
+        if let Some(prev) = marked {
+            marker::clear(bits, set(prev));
+        }
+        scores
+    });
+    candidates
+        .iter()
+        .zip(scores.iter().flatten())
+        .filter(|&(_, &score)| keep(score))
+        .map(|(&(i, j), &score)| ScoredPair { score, i, j })
+        .collect()
 }
 
 /// Packs a sequence of clusters into 16-row windows without straddling
@@ -290,10 +331,36 @@ impl Reorderer for TcaReorderer {
 
 /// True when the permutation reduces the TC block count.
 fn improves(a: &CsrMatrix, perm: &[usize]) -> bool {
-    use dtc_formats::Condensed;
-    let before = Condensed::from_csr(a).num_tc_blocks();
-    let after = Condensed::from_csr(&a.permute_rows(perm)).num_tc_blocks();
-    after < before
+    tc_blocks(a, |pos| perm[pos]) < tc_blocks(a, |pos| pos)
+}
+
+/// TC blocks of `a` with its rows taken in the order `row_at(0),
+/// row_at(1), ..`: per 16-row window, the distinct columns rounded up to
+/// whole 8-column blocks. Equal to `Condensed::from_csr(..).num_tc_blocks()`
+/// of the reordered matrix, without building it.
+fn tc_blocks(a: &CsrMatrix, row_at: impl Fn(usize) -> usize + Sync) -> usize {
+    let rows = a.rows();
+    let window = |w: usize| w * WINDOW_HEIGHT..((w + 1) * WINDOW_HEIGHT).min(rows);
+    let cols_at = |pos: usize| a.row_entries(row_at(pos)).0;
+    let window_work = |w: usize| window(w).map(|pos| cols_at(pos).len() as u64).sum();
+    let per_chunk = marker::par_marked_chunks(
+        rows.div_ceil(WINDOW_HEIGHT),
+        a.cols(),
+        window_work,
+        |windows, bits| {
+            let mut blocks = 0;
+            for w in windows {
+                let distinct: usize =
+                    window(w).flat_map(cols_at).map(|&c| marker::mark(bits, c)).sum();
+                blocks += distinct.div_ceil(BLOCK_WIDTH);
+                for pos in window(w) {
+                    marker::clear(bits, cols_at(pos));
+                }
+            }
+            blocks
+        },
+    );
+    per_chunk.into_iter().sum()
 }
 
 /// Hierarchy I only — the `TCU-Aware`-only ablation of Fig 13(c).
@@ -344,11 +411,15 @@ impl Reorderer for Lsh64Reorderer {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::is_permutation;
     use dtc_formats::gen::community;
     use dtc_formats::Condensed;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn agglomerate_respects_cap() {

@@ -10,6 +10,7 @@ use dtc_spmm::core::{
     KernelOpts, Selector, SpmmKernel,
 };
 use dtc_spmm::formats::{gen, CsrMatrix, DenseMatrix, MeTcfMatrix, Precision};
+use dtc_spmm::reorder::{Lsh64Reorderer, Reorderer, TcaReorderer, TcuOnlyReorderer};
 use dtc_spmm::sim::Device;
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -148,6 +149,44 @@ fn pipeline_outputs_bit_identical_across_thread_counts() {
     for threads in THREADS {
         let par = with_threads(threads, || DtcSpmm::new(&a).execute(&b)).unwrap();
         assert_bits_identical(&serial, &par, &format!("DtcSpmm pipeline threads={threads}"));
+    }
+}
+
+/// The TCA-family permutations (signatures, LSH bands, exact scoring and
+/// the no-gain guard all fan out over `dtc-par`) are identical at every
+/// thread count and under different steal-victim orders.
+#[test]
+fn tca_permutations_identical_across_threads_and_steal_seeds() {
+    let _guard = override_lock();
+    let inputs =
+        [gen::community(640, 640, 24, 12.0, 0.9, 31), gen::power_law(600, 600, 8.0, 2.2, 32)];
+    let reorderers: [Box<dyn Reorderer>; 3] = [
+        Box::new(TcaReorderer::default()),
+        Box::new(TcuOnlyReorderer::default()),
+        Box::new(Lsh64Reorderer::default()),
+    ];
+    for (m, a) in inputs.iter().enumerate() {
+        for r in &reorderers {
+            let serial = with_threads(1, || r.reorder(a));
+            assert!(
+                serial.iter().enumerate().any(|(pos, &row)| pos != row),
+                "{} kept the identity on input {m}; the check would be vacuous",
+                r.name()
+            );
+            for threads in [1, 2, 4, 8] {
+                for seed in [0x5eed, 0xfeed_beef] {
+                    dtc_par::set_steal_seed(Some(seed));
+                    let perm = with_threads(threads, || r.reorder(a));
+                    dtc_par::set_steal_seed(None);
+                    assert_eq!(
+                        perm,
+                        serial,
+                        "{} permutation of input {m} diverged at {threads} threads, steal seed {seed:#x}",
+                        r.name()
+                    );
+                }
+            }
+        }
     }
 }
 
