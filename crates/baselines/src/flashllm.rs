@@ -9,7 +9,7 @@
 //! the matrix densely — OOM on YeastH-scale inputs.
 
 use crate::util::{check_spmm_dims, distinct_col_count, estimate_b_hit_rate, sectors_per_b_row};
-use crate::SpmmKernel;
+use crate::SpmmEngine;
 use dtc_formats::tf32::round_to_tf32;
 use dtc_formats::{CsrMatrix, DenseMatrix, FormatError, Precision};
 use dtc_sim::occupancy::KernelResources;
@@ -76,7 +76,7 @@ impl FlashLlmSpmm {
     }
 }
 
-impl SpmmKernel for FlashLlmSpmm {
+impl SpmmEngine for FlashLlmSpmm {
     fn name(&self) -> &str {
         match self.version {
             FlashLlmVersion::V1 => "Flash-LLM(v1)",

@@ -12,7 +12,7 @@ use crate::util::{
     check_spmm_dims, distinct_col_count, estimate_b_hit_rate, n_tiles, push_b_tile_sectors,
     sectors_per_b_row, N_TILE,
 };
-use crate::SpmmKernel;
+use crate::SpmmEngine;
 use dtc_formats::tf32::round_to_tf32;
 use dtc_formats::{Condensed, CsrMatrix, DenseMatrix, FormatError, Precision};
 use dtc_sim::occupancy::KernelResources;
@@ -93,7 +93,7 @@ impl HybridSplitSpmm {
     }
 }
 
-impl SpmmKernel for HybridSplitSpmm {
+impl SpmmEngine for HybridSplitSpmm {
     fn name(&self) -> &str {
         "HybridSplit"
     }

@@ -1,11 +1,13 @@
-//! Baseline SpMM implementations and the shared kernel interface.
+//! Baseline SpMM implementations and the one SpMM trait.
 //!
-//! Every SpMM engine in the workspace — the eight baselines here and
-//! DTC-SpMM itself in `dtc-core` — implements [`SpmmKernel`]: an *exact*
+//! Every SpMM engine in the workspace — the ten baselines here and
+//! DTC-SpMM itself in `dtc-core` — implements [`SpmmEngine`]: an *exact*
 //! numeric execution on the CPU (with TF32 rounding wherever the real
 //! kernel would use Tensor Cores) plus a lowering to a
 //! [`dtc_sim::KernelTrace`] that the GPU simulator turns into time,
-//! pipeline utilization and instruction counts.
+//! pipeline utilization and instruction counts. The trait is object-safe
+//! and `Send + Sync`, so the serving layer pools `Box<dyn SpmmEngine>`
+//! and shares one prepared engine across request threads.
 //!
 //! The baselines (§5 of the paper):
 //!
@@ -25,7 +27,7 @@
 //! # Example
 //!
 //! ```
-//! use dtc_baselines::{CusparseSpmm, SpmmKernel};
+//! use dtc_baselines::{CusparseSpmm, SpmmEngine};
 //! use dtc_formats::{CsrMatrix, DenseMatrix};
 //! use dtc_sim::Device;
 //!
@@ -70,8 +72,13 @@ pub use vectorsparse::VectorSparseSpmm;
 use dtc_formats::{DenseMatrix, FormatError};
 use dtc_sim::{Device, KernelTrace, SimOptions, SimReport};
 
-/// A complete SpMM engine: exact execution plus performance lowering.
-pub trait SpmmKernel {
+/// A prepared SpMM engine: exact execution plus performance lowering.
+///
+/// Every one-time cost (reordering, format conversion, selection) is paid
+/// when the engine is built; the trait exposes only the repeatable
+/// operations. Implementations are `Send + Sync` so a serving pool can
+/// share one prepared engine across request threads.
+pub trait SpmmEngine: Send + Sync {
     /// Display name for tables and figures.
     fn name(&self) -> &str;
 
@@ -128,7 +135,7 @@ mod tests {
     use dtc_formats::gen::{power_law, uniform};
     use dtc_formats::CsrMatrix;
 
-    fn all_kernels(a: &CsrMatrix) -> Vec<Box<dyn SpmmKernel>> {
+    fn all_kernels(a: &CsrMatrix) -> Vec<Box<dyn SpmmEngine>> {
         vec![
             Box::new(CusparseSpmm::new(a)),
             Box::new(SputnikSpmm::new(a).unwrap()),

@@ -9,7 +9,7 @@
 use crate::util::{
     check_spmm_dims, distinct_col_count, estimate_b_hit_rate, n_tiles, push_b_tile_sectors, N_TILE,
 };
-use crate::SpmmKernel;
+use crate::SpmmEngine;
 use dtc_formats::{CsrMatrix, DenseMatrix, FormatError};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, SectorStream, TbWork};
@@ -75,7 +75,7 @@ impl SparseTirSpmm {
     }
 }
 
-impl SpmmKernel for SparseTirSpmm {
+impl SpmmEngine for SparseTirSpmm {
     fn name(&self) -> &str {
         "SparseTIR"
     }

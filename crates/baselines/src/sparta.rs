@@ -9,7 +9,7 @@
 //! (Table 4: "Not Supported" on protein/reddit).
 
 use crate::util::{check_spmm_dims, distinct_col_count, estimate_b_hit_rate, sectors_per_b_row};
-use crate::SpmmKernel;
+use crate::SpmmEngine;
 use dtc_formats::tf32::round_to_tf32;
 use dtc_formats::{CsrMatrix, DenseMatrix, FormatError, Precision};
 use dtc_sim::occupancy::KernelResources;
@@ -94,7 +94,7 @@ impl SpartaSpmm {
     }
 }
 
-impl SpmmKernel for SpartaSpmm {
+impl SpmmEngine for SpartaSpmm {
     fn name(&self) -> &str {
         "SparTA"
     }

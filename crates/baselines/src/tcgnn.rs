@@ -16,7 +16,7 @@
 use crate::util::{
     check_spmm_dims, distinct_col_count, estimate_b_hit_rate, push_b_row_sectors, sectors_per_b_row,
 };
-use crate::SpmmKernel;
+use crate::SpmmEngine;
 use dtc_formats::tf32::round_to_tf32;
 use dtc_formats::{Condensed, CsrMatrix, DenseMatrix, FormatError, Precision, TcfMatrix};
 use dtc_sim::occupancy::KernelResources;
@@ -63,7 +63,7 @@ impl TcgnnSpmm {
     }
 }
 
-impl SpmmKernel for TcgnnSpmm {
+impl SpmmEngine for TcgnnSpmm {
     fn name(&self) -> &str {
         "TCGNN-SpMM"
     }

@@ -9,7 +9,7 @@
 use crate::util::{
     check_spmm_dims, distinct_col_count, estimate_b_hit_rate, push_b_row_sectors, sectors_per_b_row,
 };
-use crate::SpmmKernel;
+use crate::SpmmEngine;
 use dtc_formats::tf32::round_to_tf32;
 use dtc_formats::{CsrMatrix, CvseMatrix, DenseMatrix, FormatError, Precision};
 use dtc_sim::occupancy::KernelResources;
@@ -45,7 +45,7 @@ impl VectorSparseSpmm {
     }
 }
 
-impl SpmmKernel for VectorSparseSpmm {
+impl SpmmEngine for VectorSparseSpmm {
     fn name(&self) -> &str {
         "VectorSparse"
     }

@@ -2,7 +2,7 @@
 //! performance-trace lowering for each engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dtc_baselines::{CusparseSpmm, SpmmKernel, SputnikSpmm, TcgnnSpmm};
+use dtc_baselines::{CusparseSpmm, SpmmEngine, SputnikSpmm, TcgnnSpmm};
 use dtc_core::{BalancedDtcKernel, DtcKernel};
 use dtc_formats::{gen, DenseMatrix};
 use dtc_sim::Device;

@@ -9,7 +9,7 @@
 //! 4. MinHash signature length: reorder quality vs cost;
 //! 5. Tensor-Core input precision (§7 extension): TF32 / FP16 / BF16.
 
-use dtc_baselines::SpmmKernel;
+use dtc_baselines::SpmmEngine;
 use dtc_bench::print_table;
 use dtc_core::{BalancedDtcKernel, DtcKernel, Precision, Selector};
 use dtc_datasets::{representative, scaled_device, suite_corpus};

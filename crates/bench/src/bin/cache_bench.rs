@@ -19,7 +19,7 @@
 //! additionally requires ≥ 2x steady-state speedup on both paths.
 
 use dtc_core::cache::metcf_for;
-use dtc_core::DtcSpmm;
+use dtc_core::{DtcSpmm, SpmmEngine};
 use dtc_formats::gen::uniform;
 use dtc_formats::{CsrMatrix, DenseMatrix};
 use dtc_par::{set_front_tier_enabled, FrontTier};

@@ -6,7 +6,7 @@
 //! `DTC_METRICS=<path>` the registry snapshot (pipeline-phase spans and
 //! cache counters included) is also written as JSON on exit.
 
-use dtc_baselines::{CusparseSpmm, SpmmKernel, TcgnnSpmm};
+use dtc_baselines::{CusparseSpmm, SpmmEngine, TcgnnSpmm};
 use dtc_core::DtcSpmm;
 use dtc_datasets::{representative, scaled_device};
 use dtc_sim::{CounterSet, Device, SimOptions, SimReport};

@@ -6,7 +6,7 @@
 //!   SuiteSparse stand-in corpus (sorted by DTC-SpMM GFLOPS) plus geomean
 //!   speedups.
 
-use dtc_baselines::{CusparseSpmm, SparseTirSpmm, SpmmKernel, SputnikSpmm, TcgnnSpmm};
+use dtc_baselines::{CusparseSpmm, SparseTirSpmm, SpmmEngine, SputnikSpmm, TcgnnSpmm};
 use dtc_bench::{fig11_lineup, fmt_x, geomean, print_table, row_scale};
 use dtc_core::DtcSpmm;
 use dtc_datasets::{representative, scaled_device, suite_corpus};

@@ -8,7 +8,7 @@
 //! fill ratio collapses and DTC wins 1.14–23.51×. The Type-I columns carry
 //! the reproducible shape.
 
-use dtc_baselines::{BlockSpmm, SpmmKernel, VectorSparseSpmm};
+use dtc_baselines::{BlockSpmm, SpmmEngine, VectorSparseSpmm};
 use dtc_bench::{fmt_x, print_table};
 use dtc_core::DtcSpmm;
 use dtc_datasets::{representative, scaled_device};

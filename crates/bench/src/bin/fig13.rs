@@ -8,7 +8,7 @@
 //! - (c) L2 hit rate: TCU-only hierarchy vs LSH64 vs full TCA (simulated
 //!   sectored L2 over the recorded B-access streams).
 
-use dtc_baselines::{CusparseSpmm, SpmmKernel};
+use dtc_baselines::{CusparseSpmm, SpmmEngine};
 use dtc_bench::print_table;
 use dtc_core::DtcKernel;
 use dtc_datasets::{representative, scaled_device};

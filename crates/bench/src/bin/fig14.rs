@@ -2,7 +2,7 @@
 //! utilization and #IMAD/#HMMA along the ladder
 //! Base → +SMB → +IP → +SDB → +VFD, with TCGNN-SpMM as the reference.
 
-use dtc_baselines::{SpmmKernel, TcgnnSpmm};
+use dtc_baselines::{SpmmEngine, TcgnnSpmm};
 use dtc_bench::print_table;
 use dtc_core::{DtcKernel, KernelOpts};
 use dtc_datasets::{representative, scaled_device, DatasetKind};

@@ -5,7 +5,7 @@
 //! Selector's AR and decision; (b) per-SM busy-fraction distributions
 //! with and without strict balance.
 
-use dtc_baselines::SpmmKernel;
+use dtc_baselines::SpmmEngine;
 use dtc_bench::print_table;
 use dtc_core::{BalancedDtcKernel, DtcKernel, Selector};
 use dtc_datasets::{representative, scaled_device};

@@ -1,7 +1,7 @@
 //! Figure 3: relative execution and idle time of all 128 SMs running
 //! TCGNN-SpMM on YeastH (mild imbalance) and ddi (severe imbalance).
 
-use dtc_baselines::{SpmmKernel, TcgnnSpmm};
+use dtc_baselines::{SpmmEngine, TcgnnSpmm};
 use dtc_datasets::{representative, scaled_device};
 use dtc_sim::Device;
 

@@ -3,7 +3,7 @@
 //! Generates adversarial cases (degenerate shapes, tile straddles,
 //! duplicate triplets, power-law extremes, IEEE special values,
 //! window-boundary edit scripts), runs each one differentially across all
-//! 12 `SpmmKernel` models, both ME-TCF conversion paths, the
+//! 12 `SpmmEngine` models, both ME-TCF conversion paths, the
 //! TCA-reordered pipeline, the two-tier conversion cache, and the
 //! in-place delta-update path, and adjudicates with the `dtc-fuzz`
 //! oracles (exact f64 reference, TF32 error envelope, `dtc-verify` lint

@@ -2,7 +2,7 @@
 //! overheads on YeastH and protein, expressed as multiples of one SpMM
 //! execution (N=128) — the paper's reporting convention.
 
-use dtc_baselines::SpmmKernel;
+use dtc_baselines::SpmmEngine;
 use dtc_bench::print_table;
 use dtc_core::{convert, DtcKernel, Selector};
 use dtc_datasets::{representative, scaled_device};

@@ -27,7 +27,7 @@
 //! the JSON dump, and exits non-zero unless the 4-thread critical-path
 //! speedup reaches 1.5x — the CI scaling gate.
 
-use dtc_core::{clear_conversion_cache, conversion_cache_stats, DtcSpmm};
+use dtc_core::{clear_conversion_cache, conversion_cache_stats, DtcSpmm, SpmmEngine};
 use dtc_formats::{gen, CsrMatrix, DenseMatrix};
 use dtc_telemetry::json::Json;
 use std::time::Instant;

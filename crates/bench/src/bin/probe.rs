@@ -1,6 +1,6 @@
 //! Calibration probe: prints per-kernel simulated times on key matrices.
 use dtc_baselines::*;
-use dtc_core::{DtcKernel, SpmmKernel};
+use dtc_core::{DtcKernel, SpmmEngine};
 use dtc_datasets::{representative, scaled_device};
 use dtc_sim::Device;
 

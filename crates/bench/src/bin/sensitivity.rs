@@ -4,7 +4,7 @@
 //! model: L2 capacity, DRAM bandwidth, Tensor-Core throughput and SM count,
 //! watching where DTC-SpMM's advantage over cuSPARSE grows or shrinks.
 
-use dtc_baselines::{CusparseSpmm, SpmmKernel};
+use dtc_baselines::{CusparseSpmm, SpmmEngine};
 use dtc_bench::{fmt_x, print_table};
 use dtc_core::DtcSpmm;
 use dtc_datasets::{representative, scaled_device};

@@ -26,7 +26,7 @@
 //! crossover sanity — the single-window speedup must be at least the
 //! all-windows speedup, so the curve trends the right way.
 
-use dtc_core::{clear_conversion_cache, DeltaPolicy, DtcSpmm, MatrixDelta};
+use dtc_core::{clear_conversion_cache, DeltaPolicy, DtcSpmm, MatrixDelta, SpmmEngine};
 use dtc_formats::gen::uniform;
 use dtc_formats::{CsrMatrix, DenseMatrix};
 use dtc_telemetry::json::Json;

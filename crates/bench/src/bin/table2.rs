@@ -3,7 +3,7 @@
 //! pipeline utilization (paper values in parentheses in the rendered
 //! table for reference).
 
-use dtc_baselines::{SpmmKernel, TcgnnSpmm};
+use dtc_baselines::{SpmmEngine, TcgnnSpmm};
 use dtc_bench::print_table;
 use dtc_datasets::{representative, scaled_device};
 use dtc_sim::Device;

@@ -2,7 +2,7 @@
 //! models — the fraction of matrices in each speedup bucket and the
 //! geomean speedup of DTC-SpMM over each baseline.
 
-use dtc_baselines::{CusparseSpmm, SparseTirSpmm, SpmmKernel, SputnikSpmm, TcgnnSpmm};
+use dtc_baselines::{CusparseSpmm, SparseTirSpmm, SpmmEngine, SputnikSpmm, TcgnnSpmm};
 use dtc_bench::{fmt_x, geomean, print_table};
 use dtc_core::DtcSpmm;
 use dtc_datasets::{scaled_device, suite_corpus};

@@ -3,7 +3,7 @@
 //! on datasets whose dense conversion staging exceeds device memory;
 //! SparTA reports Not Supported beyond its (scaled) 50 000-row/col limit.
 
-use dtc_baselines::{FlashLlmSpmm, FlashLlmVersion, SpartaSpmm, SpmmKernel};
+use dtc_baselines::{FlashLlmSpmm, FlashLlmVersion, SpartaSpmm, SpmmEngine};
 use dtc_bench::{fmt_ms, print_table, row_scale, scaled_sparta_limit};
 use dtc_core::DtcSpmm;
 use dtc_datasets::{representative, scaled_device};

@@ -33,11 +33,11 @@ const RECORD_NNZ_LIMIT: usize = 200_000;
 /// One lineup entry: kernel name, fallible constructor result, and whether
 /// the modeled kernel double-buffers its A fetch with `cp.async` (the SDB
 /// flag the gating lint checks `overlap_a_fetch` against).
-type LineupEntry = (&'static str, Result<Box<dyn SpmmKernel>, String>, bool);
+type LineupEntry = (&'static str, Result<Box<dyn SpmmEngine>, String>, bool);
 
 /// The kernel lineup on one matrix.
 fn lineup(a: &CsrMatrix, device: &Device) -> Vec<LineupEntry> {
-    let ok = |k: Box<dyn SpmmKernel>| -> Result<Box<dyn SpmmKernel>, String> { Ok(k) };
+    let ok = |k: Box<dyn SpmmEngine>| -> Result<Box<dyn SpmmEngine>, String> { Ok(k) };
     vec![
         ("cuSPARSE", ok(Box::new(CusparseSpmm::new(a))), false),
         ("TCGNN", TcgnnSpmm::new(a).map(|k| Box::new(k) as _).map_err(|e| e.to_string()), false),

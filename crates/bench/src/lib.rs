@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dtc_baselines::SpmmKernel;
+use dtc_baselines::SpmmEngine;
 use dtc_datasets::Dataset;
 use dtc_sim::{Device, SimReport};
 
@@ -163,7 +163,7 @@ pub fn fmt_x(s: f64) -> String {
 }
 
 /// Runs one kernel and returns its report plus achieved GFLOPS.
-pub fn run(kernel: &dyn SpmmKernel, n: usize, device: &Device) -> (SimReport, f64) {
+pub fn run(kernel: &dyn SpmmEngine, n: usize, device: &Device) -> (SimReport, f64) {
     let report = kernel.simulate(n, device);
     let gflops = report.gflops(kernel.flops(n));
     (report, gflops)
@@ -181,7 +181,7 @@ pub fn fig11_lineup(
     use dtc_baselines::*;
     let mut out: Vec<(String, Result<f64, String>)> = Vec::new();
     let time =
-        |k: &dyn SpmmKernel, n: usize| -> Result<f64, String> { Ok(k.simulate(n, device).time_ms) };
+        |k: &dyn SpmmEngine, n: usize| -> Result<f64, String> { Ok(k.simulate(n, device).time_ms) };
 
     out.push(("cuSPARSE".into(), time(&CusparseSpmm::new(a), n)));
     out.push((
@@ -228,7 +228,7 @@ pub fn extended_lineup(
     device: &Device,
 ) -> Vec<(String, f64)> {
     use dtc_baselines::*;
-    let time = |k: &dyn SpmmKernel| k.simulate(n, device).time_ms;
+    let time = |k: &dyn SpmmEngine| k.simulate(n, device).time_ms;
     vec![
         ("cuSPARSE".into(), time(&CusparseSpmm::new(a))),
         ("HP-SpMM".into(), time(&HpSpmm::new(a))),

@@ -52,10 +52,9 @@ pub struct CachedConversion {
     pub distinct_cols: usize,
 }
 
-/// Matrix identity material, verified on every primary-key hit — and,
-/// since the `SpmmEngine` redesign, the public identity every prepared
-/// engine reports through [`crate::SpmmEngine::key`] so the serving layer
-/// can key its engine pool on it.
+/// Matrix identity material, verified on every primary-key hit — and the
+/// identity the serving layer computes from each request's matrix to key
+/// its engine pool (engines themselves carry none).
 ///
 /// Dims and nnz are stored outright; the three arrays are summarized by
 /// FNV-1a checksums seeded differently from [`matrix_key`], so a

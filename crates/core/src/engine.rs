@@ -1,71 +1,19 @@
-//! The unified, object-safe engine trait every SpMM front end shares.
+//! The serving layer's front door: [`prepare`] builds any engine family
+//! behind the one SpMM trait, [`SpmmEngine`](dtc_baselines::SpmmEngine).
 //!
-//! [`SpmmKernel`](dtc_baselines::SpmmKernel) is the *kernel*-level surface:
-//! exact execution plus a lowering to a simulator trace, with format-level
-//! errors. [`SpmmEngine`] is the *engine*-level surface the serving layer
-//! (`dtc-serve`) pools behind one front door:
-//!
-//! - **prepare once** — all one-time costs (reordering, ME-TCF conversion,
-//!   Selector simulation, baseline format builds) are paid in [`prepare`]
-//!   (or the concrete builders); the trait itself only exposes the
-//!   prepared, repeatable operations;
-//! - [`SpmmEngine::execute`] — exact SpMM returning the unified
-//!   [`DtcError`];
-//! - [`SpmmEngine::key`] — the [`KeyMaterial`] identity of the *source*
-//!   matrix, so pools can recognize "same matrix" across tenants without
-//!   holding the matrix itself;
-//! - [`SpmmEngine::simulate`] — the simulated-GPU performance estimate.
-//!
-//! The trait is object-safe: tenants hold `Box<dyn SpmmEngine>` /
-//! `Arc<dyn SpmmEngine>` regardless of whether the engine is the DTC
-//! pipeline ([`DtcSpmm`]), an iterative session ([`IterativeSpmm`]), or a
-//! boxed baseline ([`BaselineEngine`]).
+//! All one-time costs (reordering, ME-TCF conversion, Selector
+//! simulation, baseline format builds) are paid in [`prepare`]; the
+//! returned `Box<dyn SpmmEngine>` exposes only the prepared, repeatable
+//! operations, whether it holds the DTC pipeline ([`DtcSpmm`]) or a
+//! baseline. `dtc-serve` pools engines under the request's
+//! [`KeyMaterial`](crate::KeyMaterial), so engines carry no identity of
+//! their own.
 
-use crate::cache::KeyMaterial;
 use crate::config::EngineConfig;
 use crate::error::DtcError;
-use crate::{DtcSpmm, IterativeSpmm};
-use dtc_baselines::SpmmKernel;
-use dtc_formats::{CsrMatrix, DenseMatrix};
-use dtc_sim::{Device, KernelTrace, SimOptions, SimReport};
-
-/// A prepared SpMM engine: repeatable execution, identity, and simulation.
-///
-/// Implementations are `Send + Sync` so a serving pool can share one
-/// prepared engine across request threads.
-pub trait SpmmEngine: Send + Sync {
-    /// Display name (kernel family plus any variant suffix).
-    fn name(&self) -> &str;
-
-    /// Rows of the sparse operand (rows of every output).
-    fn rows(&self) -> usize;
-
-    /// Columns of the sparse operand (rows of every dense operand).
-    fn cols(&self) -> usize;
-
-    /// Structural non-zeros of the sparse operand.
-    fn nnz(&self) -> usize;
-
-    /// Identity of the *source* matrix this engine was prepared from
-    /// (pre-reordering), so "same matrix" is recognizable across engines.
-    fn key(&self) -> &KeyMaterial;
-
-    /// Exact SpMM `C = A × B` with the prepared engine.
-    ///
-    /// # Errors
-    ///
-    /// [`DtcError::Format`] on dimension mismatches.
-    fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, DtcError>;
-
-    /// Lowers the prepared engine to a per-thread-block performance trace
-    /// (the input to simulation and to the dtc-verify request gate).
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace;
-
-    /// Simulated performance for an `N`-column dense operand.
-    fn simulate(&self, n: usize, device: &Device) -> SimReport {
-        dtc_sim::simulate(device, &self.trace(n, device, false), &SimOptions::default())
-    }
-}
+use crate::DtcSpmm;
+use dtc_baselines::{CusparseSpmm, SpmmEngine, SputnikSpmm, TcgnnSpmm};
+use dtc_formats::CsrMatrix;
 
 /// Which engine family [`prepare`] builds behind the trait.
 #[non_exhaustive]
@@ -73,13 +21,11 @@ pub trait SpmmEngine: Send + Sync {
 pub enum EngineKind {
     /// The full DTC-SpMM pipeline ([`DtcSpmm`]).
     Dtc,
-    /// An iterative session over the DTC pipeline ([`IterativeSpmm`]).
-    Iterative,
-    /// The conversion-free cuSPARSE baseline, boxed.
+    /// The conversion-free cuSPARSE baseline.
     Cusparse,
-    /// The Sputnik CUDA-core baseline, boxed.
+    /// The Sputnik CUDA-core baseline.
     Sputnik,
-    /// The TCGNN tensor-core baseline, boxed.
+    /// The TCGNN tensor-core baseline.
     Tcgnn,
 }
 
@@ -88,7 +34,6 @@ impl EngineKind {
     pub fn label(self) -> &'static str {
         match self {
             EngineKind::Dtc => "dtc",
-            EngineKind::Iterative => "iterative",
             EngineKind::Cusparse => "cusparse",
             EngineKind::Sputnik => "sputnik",
             EngineKind::Tcgnn => "tcgnn",
@@ -112,97 +57,34 @@ pub fn prepare(
 ) -> Result<Box<dyn SpmmEngine>, DtcError> {
     Ok(match kind {
         EngineKind::Dtc => Box::new(DtcSpmm::builder().config(config.clone()).try_build(a)?),
-        EngineKind::Iterative => Box::new(IterativeSpmm::builder().config(config.clone()).build(a)),
-        EngineKind::Cusparse => {
-            Box::new(BaselineEngine::new(Box::new(dtc_baselines::CusparseSpmm::new(a)), a))
-        }
-        EngineKind::Sputnik => {
-            Box::new(BaselineEngine::new(Box::new(dtc_baselines::SputnikSpmm::new(a)?), a))
-        }
-        EngineKind::Tcgnn => {
-            Box::new(BaselineEngine::new(Box::new(dtc_baselines::TcgnnSpmm::new(a)?), a))
-        }
+        EngineKind::Cusparse => Box::new(CusparseSpmm::new(a)),
+        EngineKind::Sputnik => Box::new(SputnikSpmm::new(a)?),
+        EngineKind::Tcgnn => Box::new(TcgnnSpmm::new(a)?),
     })
-}
-
-/// Adapter giving any boxed [`SpmmKernel`] the engine-level surface: it
-/// carries the source matrix's [`KeyMaterial`] and maps errors into
-/// [`DtcError`], so baselines go through the same pool front door as the
-/// DTC pipeline.
-pub struct BaselineEngine {
-    kernel: Box<dyn SpmmKernel + Send + Sync>,
-    key: KeyMaterial,
-}
-
-impl std::fmt::Debug for BaselineEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BaselineEngine")
-            .field("kernel", &self.kernel.name().to_string())
-            .field("key", &self.key)
-            .finish()
-    }
-}
-
-impl BaselineEngine {
-    /// Wraps a prepared kernel, recording the identity of `a` (the matrix
-    /// the kernel was built from).
-    pub fn new(kernel: Box<dyn SpmmKernel + Send + Sync>, a: &CsrMatrix) -> Self {
-        BaselineEngine { kernel, key: KeyMaterial::of(a) }
-    }
-}
-
-impl SpmmEngine for BaselineEngine {
-    fn name(&self) -> &str {
-        self.kernel.name()
-    }
-
-    fn rows(&self) -> usize {
-        self.kernel.rows()
-    }
-
-    fn cols(&self) -> usize {
-        self.kernel.cols()
-    }
-
-    fn nnz(&self) -> usize {
-        self.kernel.nnz()
-    }
-
-    fn key(&self) -> &KeyMaterial {
-        &self.key
-    }
-
-    fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, DtcError> {
-        self.kernel.execute(b).map_err(DtcError::from)
-    }
-
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
-        self.kernel.trace(n, device, record_b_addrs)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KeyMaterial;
     use dtc_formats::gen::{power_law, uniform};
+    use dtc_formats::DenseMatrix;
 
     /// The trait must stay object-safe: this is the serving layer's whole
     /// premise.
     #[test]
-    fn trait_is_object_safe_across_all_three_families() {
+    fn trait_is_object_safe_across_all_families() {
         let a = power_law(128, 128, 6.0, 2.2, 9);
         let config = EngineConfig::default();
         let engines: Vec<Box<dyn SpmmEngine>> = vec![
             prepare(EngineKind::Dtc, &config, &a).unwrap(),
-            prepare(EngineKind::Iterative, &config, &a).unwrap(),
             prepare(EngineKind::Cusparse, &config, &a).unwrap(),
+            prepare(EngineKind::Sputnik, &config, &a).unwrap(),
             prepare(EngineKind::Tcgnn, &config, &a).unwrap(),
         ];
         let b = DenseMatrix::ones(128, 8);
-        let want_key = KeyMaterial::of(&a);
         for e in &engines {
             assert_eq!(e.rows(), 128, "{}", e.name());
-            assert_eq!(*e.key(), want_key, "{}", e.name());
             let c = e.execute(&b).unwrap();
             assert_eq!(c.rows(), 128);
             let r = e.simulate(8, &config.device);
@@ -214,7 +96,8 @@ mod tests {
     fn key_is_of_the_source_matrix_even_under_reordering() {
         let a = power_law(256, 256, 8.0, 2.2, 10);
         let config = EngineConfig { reorder: true, ..EngineConfig::default() };
-        let e = prepare(EngineKind::Dtc, &config, &a).unwrap();
+        let e = DtcSpmm::builder().config(config).build(&a);
+        assert!(e.permutation().is_some());
         assert_eq!(*e.key(), KeyMaterial::of(&a));
     }
 
@@ -228,16 +111,5 @@ mod tests {
             Err(other) => panic!("expected DtcError::Format, got {other:?}"),
             Ok(_) => panic!("non-square TCGNN prepare must fail"),
         }
-    }
-
-    #[test]
-    fn engine_results_match_direct_kernel_bitwise() {
-        let a = power_law(192, 192, 7.0, 2.1, 12);
-        let b = DenseMatrix::from_fn(192, 16, |r, c| ((r * 13 + c * 5) % 23) as f32 * 0.125 - 1.0);
-        let direct = DtcSpmm::new(&a);
-        let via_trait = prepare(EngineKind::Dtc, &EngineConfig::default(), &a).unwrap();
-        let want = SpmmKernel::execute(&direct, &b).unwrap();
-        let got = via_trait.execute(&b).unwrap();
-        assert_eq!(want, got, "trait path must be bitwise-identical");
     }
 }

@@ -1,13 +1,13 @@
 //! The unified workspace error type.
 //!
-//! Before the serving-layer redesign every fallible engine surface returned
-//! the formats crate's [`FormatError`] directly. That worked while the only
-//! failures were shape/format problems, but a request-oriented front end
-//! fails in ways no format can express: admission queues overflow, engine
-//! pools run out of evictable slots, and per-request verification gates
-//! reject traces. [`DtcError`] is the single error the engine-level API
-//! ([`crate::SpmmEngine`], [`crate::IterativeSpmm`], `dtc-serve`) speaks;
-//! format problems arrive via `From<FormatError>` so `?` keeps working.
+//! An SpMM execute can only fail on shape/format problems, so
+//! [`crate::SpmmEngine::execute`] returns the formats crate's
+//! [`FormatError`]. The layers above it fail in ways no format can
+//! express: admission queues overflow, engine pools run out of evictable
+//! slots, and verification gates reject traces. [`DtcError`] is the single
+//! error those layers ([`crate::prepare`], [`crate::IterativeSpmm`],
+//! `dtc-serve`) speak; format problems arrive via `From<FormatError>` so
+//! `?` keeps working.
 
 use dtc_formats::FormatError;
 use std::fmt;

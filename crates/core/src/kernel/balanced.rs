@@ -7,7 +7,7 @@ use super::{execute_metcf, KernelOpts};
 use dtc_baselines::util::{
     check_spmm_dims, estimate_b_hit_rate, push_b_row_sectors, sectors_per_b_row,
 };
-use dtc_baselines::SpmmKernel;
+use dtc_baselines::SpmmEngine;
 use dtc_formats::{CsrMatrix, DenseMatrix, FormatError, MeTcfMatrix, Precision};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, TbWork};
@@ -20,7 +20,7 @@ pub const BLOCKS_PER_TB: usize = 32;
 /// # Example
 ///
 /// ```
-/// use dtc_core::{BalancedDtcKernel, DtcKernel, SpmmKernel};
+/// use dtc_core::{BalancedDtcKernel, DtcKernel, SpmmEngine};
 /// use dtc_formats::{gen, stats::gini};
 /// use dtc_sim::Device;
 ///
@@ -84,7 +84,7 @@ impl BalancedDtcKernel {
     }
 }
 
-impl SpmmKernel for BalancedDtcKernel {
+impl SpmmEngine for BalancedDtcKernel {
     fn name(&self) -> &str {
         "DTC-SpMM-balanced"
     }

@@ -5,7 +5,7 @@ use super::{execute_metcf, KernelOpts};
 use dtc_baselines::util::{
     check_spmm_dims, distinct_col_count, estimate_b_hit_rate, push_b_row_sectors, sectors_per_b_row,
 };
-use dtc_baselines::SpmmKernel;
+use dtc_baselines::SpmmEngine;
 use dtc_formats::{CsrMatrix, DenseMatrix, FormatError, MeTcfMatrix, Precision};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, TbWork};
@@ -20,7 +20,7 @@ pub(crate) const DTC_WARPS: usize = 8;
 /// # Example
 ///
 /// ```
-/// use dtc_core::{DtcKernel, SpmmKernel};
+/// use dtc_core::{DtcKernel, SpmmEngine};
 /// use dtc_formats::{gen, DenseMatrix};
 /// use dtc_sim::Device;
 ///
@@ -148,7 +148,7 @@ pub(crate) struct BlockCost {
     pub lsu_b: f64,
 }
 
-impl SpmmKernel for DtcKernel {
+impl SpmmEngine for DtcKernel {
     fn name(&self) -> &str {
         "DTC-SpMM"
     }

@@ -75,7 +75,7 @@ fn execute_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DtcSpmm, EngineConfig, KernelChoice};
+    use crate::{DtcSpmm, EngineConfig, KernelChoice, SpmmEngine};
     use dtc_formats::gen::{community, power_law};
     use dtc_formats::tf32::TF32_UNIT_ROUNDOFF;
 

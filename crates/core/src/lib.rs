@@ -23,7 +23,7 @@
 //! # Example
 //!
 //! ```
-//! use dtc_core::{DtcSpmm, SpmmKernel};
+//! use dtc_core::{DtcSpmm, SpmmEngine};
 //! use dtc_formats::{gen::power_law, DenseMatrix};
 //! use dtc_sim::Device;
 //!
@@ -59,7 +59,7 @@ pub use cache::{
     KeyMaterial,
 };
 pub use config::EngineConfig;
-pub use engine::{prepare, BaselineEngine, EngineKind, SpmmEngine};
+pub use engine::{prepare, EngineKind};
 pub use error::DtcError;
 pub use kernel::{BalancedDtcKernel, DtcKernel, KernelOpts};
 pub use pipeline::{DeltaOutcome, DeltaPolicy, DtcSpmm, DtcSpmmBuilder};
@@ -67,7 +67,8 @@ pub use selector::{KernelChoice, Selector, SelectorDecision};
 pub use session::{AmortizationReport, EngineRecommendation, IterativeSpmm, IterativeSpmmBuilder};
 
 // Re-exported so downstream users need only this crate for the common path.
-pub use dtc_baselines::SpmmKernel;
+// The one SpMM trait lives in `dtc-baselines`, its lowest implementor crate.
+pub use dtc_baselines::SpmmEngine;
 pub use dtc_formats::{DeltaReport, MatrixDelta, Precision};
 
 // The workspace's shared FNV-1a module (it lives in `dtc-par` so `dtc-sim`

@@ -4,11 +4,10 @@
 
 use crate::cache::KeyMaterial;
 use crate::config::EngineConfig;
-use crate::engine::SpmmEngine;
 use crate::error::DtcError;
 use crate::kernel::{BalancedDtcKernel, DtcKernel, KernelOpts};
 use crate::selector::{KernelChoice, Selector, SelectorDecision};
-use dtc_baselines::SpmmKernel;
+use dtc_baselines::SpmmEngine;
 use dtc_formats::{
     CsrMatrix, DeltaReport, DenseMatrix, FormatError, MatrixDelta, MeTcfMatrix, Precision,
 };
@@ -226,7 +225,7 @@ enum DtcAnyKernel {
 }
 
 impl DtcAnyKernel {
-    fn as_kernel(&self) -> &dyn SpmmKernel {
+    fn as_kernel(&self) -> &dyn SpmmEngine {
         match self {
             DtcAnyKernel::Base(k) => k,
             DtcAnyKernel::Balanced(k) => k,
@@ -245,8 +244,8 @@ pub struct DtcSpmm {
     kernel: DtcAnyKernel,
     decision: SelectorDecision,
     choice: KernelChoice,
-    /// Identity of the source matrix (pre-reordering), reported through
-    /// [`SpmmEngine::key`] so serving pools recognize the matrix.
+    /// Identity of the source matrix (pre-reordering); [`Self::apply_delta`]
+    /// retires cache entries under it.
     key: KeyMaterial,
     /// Identity of the *working* (post-reordering) matrix — the one the
     /// conversion cache is keyed on. Equals `key` when reordering is off.
@@ -300,54 +299,6 @@ impl DtcSpmm {
         &self.key
     }
 
-    // Inherent mirrors of the shared surface. `DtcSpmm` implements both
-    // `SpmmKernel` (kernel-level, `FormatError`) and `SpmmEngine`
-    // (engine-level, `DtcError`); inherent methods win method resolution,
-    // so call sites with both traits in scope stay unambiguous.
-
-    /// Display name of the chosen kernel.
-    pub fn name(&self) -> &str {
-        SpmmKernel::name(self)
-    }
-
-    /// Rows of the sparse operand.
-    pub fn rows(&self) -> usize {
-        self.kernel.as_kernel().rows()
-    }
-
-    /// Columns of the sparse operand.
-    pub fn cols(&self) -> usize {
-        self.kernel.as_kernel().cols()
-    }
-
-    /// Structural non-zeros of the sparse operand.
-    pub fn nnz(&self) -> usize {
-        self.kernel.as_kernel().nnz()
-    }
-
-    /// Simulated performance for an `N`-column dense operand.
-    pub fn simulate(&self, n: usize, device: &Device) -> dtc_sim::SimReport {
-        SpmmKernel::simulate(self, n, device)
-    }
-
-    /// Lowered per-thread-block trace for an `N`-column dense operand.
-    pub fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
-        SpmmKernel::trace(self, n, device, record_b_addrs)
-    }
-
-    /// Exact SpMM `C = A × B`, returning the unified [`DtcError`].
-    ///
-    /// This inherent method is the engine-level entry point (it shadows
-    /// the [`SpmmKernel`] trait method of the same name, which keeps the
-    /// kernel-level [`FormatError`] signature for `dyn SpmmKernel` users).
-    ///
-    /// # Errors
-    ///
-    /// [`DtcError::Format`] on dimension mismatches.
-    pub fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, DtcError> {
-        self.execute_inner(b).map_err(DtcError::from)
-    }
-
     /// The engine configuration this engine was built under.
     pub fn config(&self) -> &EngineConfig {
         &self.config
@@ -387,22 +338,26 @@ impl DtcSpmm {
         policy: &DeltaPolicy,
     ) -> Result<DeltaOutcome, DtcError> {
         let _span = dtc_telemetry::span("pipeline.delta");
-        // Remap edit rows into the engine's internal (reordered) row space.
+        // Remap edit rows into the engine's internal (reordered) row space
+        // through the inverse permutation (original row -> reordered row).
+        let inv = self.perm.as_ref().map(|perm| {
+            let mut inv = vec![0usize; perm.len()];
+            for (new_row, &orig_row) in perm.iter().enumerate() {
+                inv[orig_row] = new_row;
+            }
+            inv
+        });
         let remapped;
-        let effective: &MatrixDelta = match &self.perm {
+        let effective: &MatrixDelta = match &inv {
             None => delta,
-            Some(perm) => {
-                let mut inv = vec![0usize; perm.len()];
-                for (new_row, &orig_row) in perm.iter().enumerate() {
-                    inv[orig_row] = new_row;
-                }
+            Some(inv) => {
                 let mut d = MatrixDelta::new();
                 for (row, col, op) in delta.iter() {
                     let Some(&new_row) = inv.get(row) else {
                         return Err(DtcError::Format(FormatError::IndexOutOfBounds {
                             row,
                             col,
-                            rows: perm.len(),
+                            rows: inv.len(),
                             cols: self.cols(),
                         }));
                     };
@@ -429,16 +384,9 @@ impl DtcSpmm {
         // than a rebuild. Reordered engines still pay one `to_csr` to key
         // the original-order matrix.
         let new_working_key = KeyMaterial::of_metcf(&patched);
-        let new_key = match &self.perm {
+        let new_key = match &inv {
             None => new_working_key.clone(),
-            Some(perm) => {
-                let working = patched.to_csr()?;
-                let mut inv = vec![0usize; perm.len()];
-                for (new_row, &orig_row) in perm.iter().enumerate() {
-                    inv[orig_row] = new_row;
-                }
-                KeyMaterial::of(&working.permute_rows(&inv))
-            }
+            Some(inv) => KeyMaterial::of(&patched.to_csr()?.permute_rows(inv)),
         };
         let distinct = patched.distinct_cols();
 
@@ -467,25 +415,9 @@ impl DtcSpmm {
         crate::telemetry::delta_applies().incr();
         Ok(DeltaOutcome { report, drift, reselected, choice: self.choice })
     }
-
-    /// The shared execution path: run the chosen kernel, then undo the row
-    /// permutation so callers see original row order.
-    fn execute_inner(&self, b: &DenseMatrix) -> Result<DenseMatrix, FormatError> {
-        let c = self.kernel.as_kernel().execute(b)?;
-        Ok(match &self.perm {
-            None => c,
-            Some(perm) => {
-                let mut out = DenseMatrix::zeros(c.rows(), c.cols());
-                for (new_row, &orig_row) in perm.iter().enumerate() {
-                    out.row_mut(orig_row).copy_from_slice(c.row(new_row));
-                }
-                out
-            }
-        })
-    }
 }
 
-impl SpmmKernel for DtcSpmm {
+impl SpmmEngine for DtcSpmm {
     fn name(&self) -> &str {
         match self.choice {
             KernelChoice::Base => "DTC-SpMM",
@@ -505,8 +437,20 @@ impl SpmmKernel for DtcSpmm {
         self.kernel.as_kernel().nnz()
     }
 
+    /// Runs the chosen kernel, then undoes the row permutation so callers
+    /// see original row order.
     fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, FormatError> {
-        self.execute_inner(b)
+        let c = self.kernel.as_kernel().execute(b)?;
+        Ok(match &self.perm {
+            None => c,
+            Some(perm) => {
+                let mut out = DenseMatrix::zeros(c.rows(), c.cols());
+                for (new_row, &orig_row) in perm.iter().enumerate() {
+                    out.row_mut(orig_row).copy_from_slice(c.row(new_row));
+                }
+                out
+            }
+        })
     }
 
     fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
@@ -523,36 +467,6 @@ impl SpmmKernel for DtcSpmm {
         let trace = self.kernel.as_kernel().trace(n, device, record_b_addrs);
         self.trace_cache.lock().unwrap().insert(key, trace.clone());
         trace
-    }
-}
-
-impl SpmmEngine for DtcSpmm {
-    fn name(&self) -> &str {
-        SpmmKernel::name(self)
-    }
-
-    fn rows(&self) -> usize {
-        SpmmKernel::rows(self)
-    }
-
-    fn cols(&self) -> usize {
-        SpmmKernel::cols(self)
-    }
-
-    fn nnz(&self) -> usize {
-        SpmmKernel::nnz(self)
-    }
-
-    fn key(&self) -> &KeyMaterial {
-        &self.key
-    }
-
-    fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, DtcError> {
-        DtcSpmm::execute(self, b)
-    }
-
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
-        SpmmKernel::trace(self, n, device, record_b_addrs)
     }
 }
 

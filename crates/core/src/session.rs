@@ -14,15 +14,13 @@
 //! break-even iteration count against the conversion-free cuSPARSE
 //! baseline, recommending an engine for a given workload length.
 
-use crate::cache::KeyMaterial;
 use crate::config::EngineConfig;
 use crate::convert::simulated_gpu_conversion_ms_for;
-use crate::engine::SpmmEngine;
 use crate::error::DtcError;
-use crate::{DtcSpmm, SpmmKernel};
-use dtc_baselines::CusparseSpmm;
+use crate::DtcSpmm;
+use dtc_baselines::{CusparseSpmm, SpmmEngine};
 use dtc_formats::{CsrMatrix, DenseMatrix, Precision};
-use dtc_sim::{Device, KernelTrace};
+use dtc_sim::Device;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which engine the amortization analysis recommends.
@@ -79,7 +77,7 @@ impl AmortizationReport {
 #[derive(Default)]
 pub struct IterativeSpmmBuilder {
     config: EngineConfig,
-    baseline: Option<Box<dyn SpmmKernel + Send + Sync>>,
+    baseline: Option<Box<dyn SpmmEngine>>,
 }
 
 impl std::fmt::Debug for IterativeSpmmBuilder {
@@ -123,7 +121,7 @@ impl IterativeSpmmBuilder {
 
     /// Replaces the comparator baseline the amortization analysis races
     /// against (default: [`CusparseSpmm`] over the same matrix).
-    pub fn baseline(mut self, baseline: Box<dyn SpmmKernel + Send + Sync>) -> Self {
+    pub fn baseline(mut self, baseline: Box<dyn SpmmEngine>) -> Self {
         self.baseline = Some(baseline);
         self
     }
@@ -140,11 +138,11 @@ impl IterativeSpmmBuilder {
 /// A fixed-matrix SpMM session: conversion happens once, every
 /// [`IterativeSpmm::execute`] reuses it.
 ///
-/// The run counter is atomic so `execute` takes `&self` — a pooled session
-/// can serve concurrent requests through the [`SpmmEngine`] trait.
+/// The run counter is atomic so `execute` takes `&self` and one session
+/// can serve concurrent callers.
 pub struct IterativeSpmm {
     engine: DtcSpmm,
-    baseline: Box<dyn SpmmKernel + Send + Sync>,
+    baseline: Box<dyn SpmmEngine>,
     device: Device,
     runs: AtomicU64,
 }
@@ -178,7 +176,7 @@ impl IterativeSpmm {
     }
 
     /// The comparator baseline the amortization analysis races against.
-    pub fn baseline(&self) -> &dyn SpmmKernel {
+    pub fn baseline(&self) -> &dyn SpmmEngine {
         self.baseline.as_ref()
     }
 
@@ -194,7 +192,7 @@ impl IterativeSpmm {
     /// Propagates dimension mismatches as [`DtcError::Format`].
     pub fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, DtcError> {
         self.runs.fetch_add(1, Ordering::Relaxed);
-        self.engine.execute(b)
+        Ok(self.engine.execute(b)?)
     }
 
     /// Computes the §6 amortization analysis for `n` dense columns.
@@ -217,36 +215,6 @@ impl IterativeSpmm {
     /// Cumulative simulated GPU time of the session so far (setup + runs).
     pub fn simulated_total_ms(&self, n: usize) -> f64 {
         self.amortization(n).dtc_total_ms(self.runs())
-    }
-}
-
-impl SpmmEngine for IterativeSpmm {
-    fn name(&self) -> &str {
-        SpmmKernel::name(&self.engine)
-    }
-
-    fn rows(&self) -> usize {
-        SpmmKernel::rows(&self.engine)
-    }
-
-    fn cols(&self) -> usize {
-        SpmmKernel::cols(&self.engine)
-    }
-
-    fn nnz(&self) -> usize {
-        SpmmKernel::nnz(&self.engine)
-    }
-
-    fn key(&self) -> &KeyMaterial {
-        self.engine.key()
-    }
-
-    fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, DtcError> {
-        IterativeSpmm::execute(self, b)
-    }
-
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
-        SpmmKernel::trace(&self.engine, n, device, record_b_addrs)
     }
 }
 

@@ -15,7 +15,7 @@
 //!   plus a TF32 round-to-nearest-even error envelope derived from the
 //!   mantissa emulation in `dtc-formats`;
 //! - [`runner`] executes every case differentially across all 12
-//!   [`SpmmKernel`](dtc_baselines::SpmmKernel) models, both ME-TCF
+//!   [`SpmmEngine`](dtc_baselines::SpmmEngine) models, both ME-TCF
 //!   conversion paths (serial SGT condensing and the parallel merge), and
 //!   the TCA-reordered pipeline, replaying the `dtc-verify` lints over
 //!   each lowered trace;

@@ -2,8 +2,8 @@
 //!
 //! Each case runs through three differential axes:
 //!
-//! 1. **Kernels** — all 12 `SpmmKernel` models execute the case and are
-//!    checked against the [`Reference`](crate::oracle::Reference) oracle;
+//! 1. **Kernels** — all 12 `SpmmEngine` models execute the case and are
+//!    checked against the [`Reference`] oracle;
 //!    each kernel's lowered trace is replayed through the full `dtc-verify`
 //!    lint battery (structural, resources, conservation, coverage,
 //!    speed-of-light over a simulated report).
@@ -32,7 +32,7 @@ use crate::oracle::{check_against, Reference};
 use dtc_baselines::util::distinct_col_count;
 use dtc_baselines::{
     BlockSpmm, CusparseSpmm, FlashLlmSpmm, HpSpmm, HybridSplitSpmm, SparseTirSpmm, SpartaSpmm,
-    SpmmKernel, SputnikSpmm, TcgnnSpmm, SPARTA_DEFAULT_LIMIT,
+    SpmmEngine, SputnikSpmm, TcgnnSpmm, SPARTA_DEFAULT_LIMIT,
 };
 use dtc_core::cache::{clear_conversion_cache, metcf_for, CachedConversion};
 use dtc_core::convert::convert_to_metcf_parallel;
@@ -113,11 +113,11 @@ fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 }
 
 /// One lineup entry: name, fallible constructor result, SDB flag.
-type LineupEntry = (&'static str, Result<Box<dyn SpmmKernel>, String>, bool);
+type LineupEntry = (&'static str, Result<Box<dyn SpmmEngine>, String>, bool);
 
 /// The 12-kernel lineup on one matrix (mirrors the `tracelint` sweep).
 fn lineup(a: &CsrMatrix, device: &Device) -> Vec<LineupEntry> {
-    let ok = |k: Box<dyn SpmmKernel>| -> Result<Box<dyn SpmmKernel>, String> { Ok(k) };
+    let ok = |k: Box<dyn SpmmEngine>| -> Result<Box<dyn SpmmEngine>, String> { Ok(k) };
     vec![
         ("cuSPARSE", ok(Box::new(CusparseSpmm::new(a))), false),
         ("TCGNN", TcgnnSpmm::new(a).map(|k| Box::new(k) as _).map_err(|e| e.to_string()), false),

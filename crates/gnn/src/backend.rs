@@ -1,7 +1,7 @@
 //! Pluggable SpMM backends for GNN training — the frameworks compared in
 //! Fig 16.
 
-use dtc_baselines::{CusparseSpmm, SpmmKernel, TcgnnSpmm};
+use dtc_baselines::{CusparseSpmm, SpmmEngine, TcgnnSpmm};
 use dtc_core::DtcSpmm;
 use dtc_formats::{CsrMatrix, DenseMatrix, FormatError};
 use dtc_sim::Device;
@@ -62,10 +62,8 @@ impl GnnBackend for DtcGnnBackend {
     }
 
     fn spmm(&self, transpose: bool, b: &DenseMatrix) -> Result<DenseMatrix, FormatError> {
-        // Kernel-level path on purpose: the backend trait speaks
-        // FormatError (the engine-level DtcError belongs to dtc-serve).
         let engine = if transpose { &self.bwd } else { &self.fwd };
-        SpmmKernel::execute(engine, b)
+        engine.execute(b)
     }
 
     fn spmm_ms(&self, transpose: bool, n: usize, device: &Device) -> f64 {

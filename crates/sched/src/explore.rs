@@ -3,7 +3,7 @@
 //!
 //! # The schedule model
 //!
-//! A [`ShardPlan`](dtc_par::ShardPlan) gives every worker `w` a band of
+//! A [`ShardPlan`] gives every worker `w` a band of
 //! chunk indices; at runtime the owner pops its band's *front* while idle
 //! thieves pop a victim's *back*, and a stolen chunk executes immediately
 //! on the thief (it is never re-enqueued). The reachable deque states are

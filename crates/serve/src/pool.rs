@@ -92,7 +92,6 @@ impl PoolKey {
     pub fn primary(&self) -> u64 {
         let kind = match self.kind {
             EngineKind::Dtc => 1u64,
-            EngineKind::Iterative => 2,
             EngineKind::Cusparse => 3,
             EngineKind::Sputnik => 4,
             EngineKind::Tcgnn => 5,

@@ -47,23 +47,33 @@ use std::sync::{Arc, Mutex};
 pub fn admission_check(engine: &dyn SpmmEngine, config: &EngineConfig) -> Result<(), DtcError> {
     let _span = dtc_telemetry::span("serve.admission_check");
     const PROBE_COLS: usize = 8;
-    let trace = engine.trace(PROBE_COLS, &config.device, false);
-    let case = TraceCase::new(engine.name(), &config.device, &trace);
-    let mut errors: Vec<String> = dtc_verify::verify_trace(&case)
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .map(|d| d.to_string())
-        .collect();
-
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let plan = ShardPlan::even(engine.rows(), threads);
+    let mut errors = trace_errors(engine, PROBE_COLS, config);
+    // Lint the plan execute cuts: same row space, same worker count.
+    let plan = ShardPlan::even(engine.rows(), dtc_par::num_threads());
     errors.extend(
         dtc_verify::verify_plan(&SchedCase::new(engine.name(), &plan))
             .iter()
             .filter(|d| d.severity == Severity::Error)
             .map(|d| d.to_string()),
     );
+    reject(engine, &errors)
+}
 
+/// Lowers `engine` at width `n` and renders every error-severity
+/// dtc-verify trace diagnostic.
+fn trace_errors(engine: &dyn SpmmEngine, n: usize, config: &EngineConfig) -> Vec<String> {
+    let trace = engine.trace(n, &config.device, false);
+    let case = TraceCase::new(engine.name(), &config.device, &trace);
+    dtc_verify::verify_trace(&case)
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .map(|d| d.to_string())
+        .collect()
+}
+
+/// [`DtcError::Verify`] naming the first of `errors`, or `Ok` when there
+/// are none.
+fn reject(engine: &dyn SpmmEngine, errors: &[String]) -> Result<(), DtcError> {
     match errors.first() {
         Some(first) => Err(DtcError::Verify {
             kernel: engine.name().to_string(),
@@ -247,8 +257,9 @@ impl SpmmServer {
             }
         }
 
+        // The per-request safety gate: trace lints at this batch width.
         if self.cfg.verify {
-            self.verify_gate(engine.as_ref(), total_cols, &head.config)?;
+            reject(engine.as_ref(), &trace_errors(engine.as_ref(), total_cols, &head.config))?;
         }
 
         let c = engine.execute(&b)?;
@@ -271,29 +282,6 @@ impl SpmmServer {
             batch_cols: total_cols,
             pool_hit: fetched.hit,
         })
-    }
-
-    /// The per-request safety gate: replays the dtc-verify structural and
-    /// resource lints over the engine's lowered trace for this batch width.
-    fn verify_gate(
-        &self,
-        engine: &dyn SpmmEngine,
-        n: usize,
-        config: &EngineConfig,
-    ) -> Result<(), DtcError> {
-        let trace = engine.trace(n, &config.device, false);
-        let case = TraceCase::new(engine.name(), &config.device, &trace);
-        let diags = dtc_verify::verify_trace(&case);
-        let errors: Vec<String> =
-            diags.iter().filter(|d| d.severity == Severity::Error).map(|d| d.to_string()).collect();
-        if let Some(first) = errors.first() {
-            return Err(DtcError::Verify {
-                kernel: engine.name().to_string(),
-                diagnostic: first.clone(),
-                errors: errors.len(),
-            });
-        }
-        Ok(())
     }
 
     /// Tears down every cached artifact derived from the matrix identified

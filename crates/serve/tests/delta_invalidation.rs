@@ -18,7 +18,8 @@ use std::sync::Arc;
 
 use dtc_core::cache::metcf_for;
 use dtc_core::{
-    invalidate_conversion, DeltaPolicy, DtcSpmm, EngineConfig, EngineKind, KeyMaterial, MatrixDelta,
+    invalidate_conversion, DeltaPolicy, DtcSpmm, EngineConfig, EngineKind, KeyMaterial,
+    MatrixDelta, SpmmEngine,
 };
 use dtc_formats::{gen::uniform, CsrMatrix, DenseMatrix, MeTcfMatrix};
 use dtc_serve::{Request, ServeConfig, SpmmServer};

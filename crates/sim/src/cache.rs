@@ -23,7 +23,7 @@
 //! workers never materialize foreign addresses: inside one encoded run
 //! (consecutive addresses), the members of shard `t` are an arithmetic
 //! progression of stride `T` (between multiples of `S`, where `a mod S`
-//! advances with `a`), and [`advance_chunk`] steps directly between them.
+//! advances with `a`), and `advance_chunk` steps directly between them.
 //! Per-shard work is `O(members + runs)`, not `O(sectors)`.
 
 use crate::{Device, KernelTrace};

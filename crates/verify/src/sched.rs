@@ -15,7 +15,7 @@
 //! - [`verify_plan`] — structural lints over a [`ShardPlan`] (+ the
 //!   caller's weights, when the plan was weight-cut);
 //! - [`verify_exec_log`] — lints over drained
-//!   [`ExecRecord`](dtc_par::ExecRecord)s (nested-parallelism legality);
+//!   [`ExecRecord`]s (nested-parallelism legality);
 //! - [`verify_lock_graph`] — lock-order audit of a [`LockGraph`];
 //! - [`verify_pool_events`] — protocol lints over a [`PoolEvent`] log.
 //!

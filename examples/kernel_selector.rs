@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example kernel_selector`
 
-use dtc_spmm::baselines::SpmmKernel;
+use dtc_spmm::baselines::SpmmEngine;
 use dtc_spmm::core::{BalancedDtcKernel, DtcKernel, Selector};
 use dtc_spmm::formats::{gen, MeTcfMatrix};
 use dtc_spmm::sim::Device;

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use dtc_spmm::baselines::{CusparseSpmm, TcgnnSpmm};
-use dtc_spmm::core::{DtcSpmm, SpmmKernel};
+use dtc_spmm::core::{DtcSpmm, SpmmEngine};
 use dtc_spmm::formats::stats::MatrixStats;
 use dtc_spmm::formats::{gen, DenseMatrix};
 use dtc_spmm::sim::Device;

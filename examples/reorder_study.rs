@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example reorder_study`
 
-use dtc_spmm::baselines::SpmmKernel;
+use dtc_spmm::baselines::SpmmEngine;
 use dtc_spmm::core::DtcKernel;
 use dtc_spmm::formats::{gen, Condensed};
 use dtc_spmm::reorder::{

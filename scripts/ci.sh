@@ -48,4 +48,7 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 
+echo "== cargo doc -D warnings (rustdoc lints, intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "CI gate passed."

@@ -11,7 +11,7 @@
 //! ```
 
 use dtc_spmm::baselines::{
-    CusparseSpmm, HpSpmm, SparseTirSpmm, SpmmKernel, SputnikSpmm, TcgnnSpmm,
+    CusparseSpmm, HpSpmm, SparseTirSpmm, SpmmEngine, SputnikSpmm, TcgnnSpmm,
 };
 use dtc_spmm::core::{DtcSpmm, IterativeSpmm};
 use dtc_spmm::formats::footprint::footprint_of;
@@ -99,7 +99,7 @@ fn cmd_bench(path: &str, rest: &[String]) -> Result<(), Box<dyn std::error::Erro
         "kernel", "time (ms)", "GFLOPS", "TC util", "IMAD/HMMA"
     );
     let flops = a.spmm_flops(n);
-    let show = |name: &str, k: &dyn SpmmKernel| {
+    let show = |name: &str, k: &dyn SpmmEngine| {
         let r = k.simulate(n, &device);
         println!(
             "{:<14} {:>10.4} {:>10.1} {:>8.1}% {:>12.1}",

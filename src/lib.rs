@@ -73,7 +73,7 @@
 /// assert!(report.time_ms > 0.0);
 /// ```
 pub mod prelude {
-    pub use dtc_baselines::SpmmKernel;
+    pub use dtc_baselines::SpmmEngine;
     pub use dtc_core::{
         BalancedDtcKernel, DtcKernel, DtcSpmm, IterativeSpmm, KernelChoice, KernelOpts, Selector,
     };

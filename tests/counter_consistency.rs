@@ -2,7 +2,7 @@
 //! fields the `SimReport` has always carried — one loop computes both, and
 //! this cross-check keeps it that way.
 
-use dtc_spmm::baselines::{CusparseSpmm, SpmmKernel, TcgnnSpmm};
+use dtc_spmm::baselines::{CusparseSpmm, SpmmEngine, TcgnnSpmm};
 use dtc_spmm::core::DtcSpmm;
 use dtc_spmm::formats::gen::{community, long_row};
 use dtc_spmm::formats::CsrMatrix;
@@ -54,7 +54,7 @@ fn check(name: &str, report: &SimReport, device: &Device) {
     assert!(i.total() > 0.0, "{name}: empty instruction mix");
 }
 
-fn engines(a: &CsrMatrix, device: &Device) -> Vec<(String, Box<dyn SpmmKernel>)> {
+fn engines(a: &CsrMatrix, device: &Device) -> Vec<(String, Box<dyn SpmmEngine>)> {
     vec![
         ("dtc".into(), Box::new(DtcSpmm::builder().device(device.clone()).build(a)) as _),
         ("cusparse".into(), Box::new(CusparseSpmm::new(a)) as _),

@@ -3,7 +3,7 @@
 //! a downstream user can throw at the library must either work or fail
 //! with a typed error, never panic.
 
-use dtc_spmm::baselines::{CusparseSpmm, HpSpmm, SpmmKernel, SputnikSpmm, TcgnnSpmm};
+use dtc_spmm::baselines::{CusparseSpmm, HpSpmm, SpmmEngine, SputnikSpmm, TcgnnSpmm};
 use dtc_spmm::core::{DtcKernel, DtcSpmm, Selector};
 use dtc_spmm::formats::{CsrMatrix, DenseMatrix, MeTcfMatrix};
 use dtc_spmm::sim::{cache::L2Cache, sm_for_block, Device};
@@ -28,7 +28,7 @@ fn all_zero_rows_matrix() {
     let a = tiny(64, 64, &[]);
     let b = DenseMatrix::ones(64, 16);
     for k in [
-        Box::new(DtcKernel::new(&a)) as Box<dyn SpmmKernel>,
+        Box::new(DtcKernel::new(&a)) as Box<dyn SpmmEngine>,
         Box::new(CusparseSpmm::new(&a)),
         Box::new(HpSpmm::new(&a)),
     ] {

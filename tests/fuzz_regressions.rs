@@ -7,7 +7,7 @@
 //! cache collision regression lives next to the cache
 //! (`crates/core/src/cache.rs`) because it needs the private keyed lookup.
 
-use dtc_spmm::baselines::{BlockSpmm, SpmmKernel, VectorSparseSpmm};
+use dtc_spmm::baselines::{BlockSpmm, SpmmEngine, VectorSparseSpmm};
 use dtc_spmm::core::DtcSpmm;
 use dtc_spmm::formats::tf32::round_to_tf32;
 use dtc_spmm::formats::{CsrMatrix, DenseMatrix, MeTcfMatrix};

@@ -3,7 +3,7 @@
 //! Tensor-Core paths.
 
 use dtc_spmm::baselines::{
-    BlockSpmm, CusparseSpmm, FlashLlmSpmm, HpSpmm, SparseTirSpmm, SpartaSpmm, SpmmKernel,
+    BlockSpmm, CusparseSpmm, FlashLlmSpmm, HpSpmm, SparseTirSpmm, SpartaSpmm, SpmmEngine,
     SputnikSpmm, TcgnnSpmm, VectorSparseSpmm,
 };
 use dtc_spmm::core::{BalancedDtcKernel, DtcKernel, DtcSpmm, KernelOpts};

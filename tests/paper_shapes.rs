@@ -2,7 +2,7 @@
 //! the scaled representative datasets — who wins, where, and by roughly
 //! what kind of factor. These are the claims EXPERIMENTS.md reports.
 
-use dtc_spmm::baselines::{CusparseSpmm, SpmmKernel, SputnikSpmm, TcgnnSpmm};
+use dtc_spmm::baselines::{CusparseSpmm, SpmmEngine, SputnikSpmm, TcgnnSpmm};
 use dtc_spmm::core::{BalancedDtcKernel, DtcKernel, DtcSpmm, KernelChoice, KernelOpts, Selector};
 use dtc_spmm::datasets::{representative, scaled_device, DatasetKind};
 use dtc_spmm::formats::MeTcfMatrix;

@@ -7,7 +7,7 @@
 
 use dtc_spmm::core::{
     clear_conversion_cache, conversion_cache_stats, BalancedDtcKernel, DtcKernel, DtcSpmm,
-    KernelOpts, Selector, SpmmKernel,
+    KernelOpts, Selector, SpmmEngine,
 };
 use dtc_spmm::formats::{gen, CsrMatrix, DenseMatrix, MeTcfMatrix, Precision};
 use dtc_spmm::reorder::{Lsh64Reorderer, Reorderer, TcaReorderer, TcuOnlyReorderer};

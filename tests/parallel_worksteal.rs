@@ -4,7 +4,7 @@
 //! schedule itself — thread count, seeded steal-victim order, threaded vs
 //! virtual-time execution — and assert `to_bits()` equality throughout.
 
-use dtc_spmm::core::{clear_conversion_cache, DtcSpmm};
+use dtc_spmm::core::{clear_conversion_cache, DtcSpmm, SpmmEngine};
 use dtc_spmm::formats::{gen, DenseMatrix};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};

@@ -2,7 +2,7 @@
 //! valid permutation, TCA never regresses TC-block density (its guard),
 //! and reordering never changes SpMM results.
 
-use dtc_spmm::core::DtcSpmm;
+use dtc_spmm::core::{DtcSpmm, SpmmEngine};
 use dtc_spmm::formats::{Condensed, CsrMatrix, DenseMatrix};
 use dtc_spmm::reorder::{
     is_permutation, LouvainReorderer, Lsh64Reorderer, MetisLikeReorderer, Reorderer, TcaReorderer,

@@ -3,7 +3,7 @@
 //! base / balanced is actually faster under the full simulator — the
 //! property §4.5.2's design depends on.
 
-use dtc_spmm::baselines::SpmmKernel;
+use dtc_spmm::baselines::SpmmEngine;
 use dtc_spmm::core::{BalancedDtcKernel, DtcKernel, KernelChoice, Selector};
 use dtc_spmm::datasets::{scaled_device, suite_corpus};
 use dtc_spmm::formats::MeTcfMatrix;

@@ -5,6 +5,7 @@
 //! The conversion cache and the telemetry registry are process-wide, so
 //! tests that measure their counters serialize on one mutex.
 
+use dtc_spmm::baselines::{CusparseSpmm, SpmmEngine, SputnikSpmm, TcgnnSpmm};
 use dtc_spmm::core::{
     conversion_cache_stats, prepare, DtcError, DtcSpmm, EngineConfig, EngineKind, KeyMaterial,
 };
@@ -132,26 +133,37 @@ fn keymaterial_fingerprint_collision_is_served_correctly() {
     assert_eq!(server.pool().len(), 2, "both matrices must be resident separately");
 }
 
+/// The concrete kernel each `prepare` family boxes, built directly.
+fn concrete(kind: EngineKind, config: &EngineConfig, a: &CsrMatrix) -> Box<dyn SpmmEngine> {
+    match kind {
+        EngineKind::Dtc => Box::new(DtcSpmm::builder().config(config.clone()).build(a)),
+        EngineKind::Cusparse => Box::new(CusparseSpmm::new(a)),
+        EngineKind::Sputnik => Box::new(SputnikSpmm::new(a).unwrap()),
+        EngineKind::Tcgnn => Box::new(TcgnnSpmm::new(a).unwrap()),
+        other => panic!("no concrete kernel for {other:?}"),
+    }
+}
+
 /// Every engine family reachable through `prepare` must return exactly the
 /// bits its concrete implementation returns: the trait dispatch layer may
-/// not perturb results.
+/// not perturb results, names or simulated times.
 #[test]
 fn trait_dispatch_is_bitwise_identical() {
     let a = gen::power_law(128, 128, 7.0, 2.3, 0x7777);
     let b = dense_for(&a, 16, 9);
     let config = EngineConfig::default();
-    for kind in [EngineKind::Dtc, EngineKind::Iterative, EngineKind::Cusparse, EngineKind::Sputnik]
-    {
+    for kind in [EngineKind::Dtc, EngineKind::Cusparse, EngineKind::Sputnik, EngineKind::Tcgnn] {
         let engine = prepare(kind, &config, &a).expect("prepare failed");
+        let direct = concrete(kind, &config, &a);
         let via_trait = engine.execute(&b).expect("trait execute failed");
-        let direct = DtcSpmm::builder().config(config.clone()).build(&a).execute(&b).unwrap();
-        if matches!(kind, EngineKind::Dtc) {
-            assert_eq!(via_trait.as_slice(), direct.as_slice(), "{kind:?} differs from direct");
-        }
-        // Engines expose the source matrix as their identity regardless of
-        // internal reordering or format.
-        assert_eq!(engine.key(), &KeyMaterial::of(&a), "{kind:?} key mismatch");
+        let want = direct.execute(&b).unwrap();
+        let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&via_trait), bits(&want), "{kind:?} differs from direct");
+        assert_eq!(engine.name(), direct.name(), "{kind:?}");
         assert_eq!((engine.rows(), engine.cols()), (a.rows(), a.cols()));
+        let (got, want) =
+            (engine.simulate(16, &config.device), direct.simulate(16, &config.device));
+        assert_eq!(got.time_ms.to_bits(), want.time_ms.to_bits(), "{kind:?} simulated time");
     }
 }
 

@@ -11,7 +11,7 @@
 //! The flag lives in a `const`-initialized `thread_local!` `Cell`, so
 //! reading it from inside the allocator cannot itself allocate or recurse.
 
-use dtc_spmm::core::{BalancedDtcKernel, DtcKernel, SpmmKernel};
+use dtc_spmm::core::{BalancedDtcKernel, DtcKernel, SpmmEngine};
 use dtc_spmm::formats::{gen, DenseMatrix};
 use dtc_spmm::sim::Device;
 use std::alloc::{GlobalAlloc, Layout, System};

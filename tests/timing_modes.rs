@@ -2,12 +2,12 @@
 //! evaluation relies on must hold under both the closed-form and the
 //! event-driven per-block models.
 
-use dtc_spmm::baselines::{CusparseSpmm, SpmmKernel, TcgnnSpmm};
+use dtc_spmm::baselines::{CusparseSpmm, SpmmEngine, TcgnnSpmm};
 use dtc_spmm::core::{DtcKernel, KernelOpts};
 use dtc_spmm::datasets::{representative, scaled_device};
 use dtc_spmm::sim::{Device, SimOptions, TimingMode};
 
-fn time_ms(k: &dyn SpmmKernel, n: usize, device: &Device, mode: TimingMode) -> f64 {
+fn time_ms(k: &dyn SpmmEngine, n: usize, device: &Device, mode: TimingMode) -> f64 {
     k.simulate_with(n, device, &SimOptions { simulate_l2: false, timing: mode }).time_ms
 }
 

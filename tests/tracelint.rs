@@ -19,8 +19,8 @@ use dtc_spmm::verify::{verify_trace, LintId, ProblemSpec, Severity, TraceCase};
 use proptest::prelude::*;
 
 /// Every kernel constructible on `a`, with its SDB (cp.async) flag.
-fn lineup(a: &CsrMatrix) -> Vec<(Box<dyn SpmmKernel>, bool)> {
-    let mut out: Vec<(Box<dyn SpmmKernel>, bool)> = vec![
+fn lineup(a: &CsrMatrix) -> Vec<(Box<dyn SpmmEngine>, bool)> {
+    let mut out: Vec<(Box<dyn SpmmEngine>, bool)> = vec![
         (Box::new(CusparseSpmm::new(a)), false),
         (Box::new(SparseTirSpmm::new(a)), false),
         (Box::new(HpSpmm::new(a)), false),
