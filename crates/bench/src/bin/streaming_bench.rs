@@ -10,9 +10,9 @@
 //!
 //! The sweep scales the number of touched windows per edit batch and
 //! times both paths end to end (the rebuild path includes constructing
-//! the edited CSR, which any rebuild consumer must also do). Reported per
-//! point: ms per edit batch for each path and the delta-path speedup; the
-//! summary locates the **crossover** — the smallest touched-window count
+//! the edited CSR, which any rebuild consumer must also do), in
+//! interleaved pairs. Reported per point: the median ms per edit batch for
+//! each path and the median per-pair delta-path speedup; the summary locates the **crossover** — the smallest touched-window count
 //! where patching stops beating rebuilding — which full-matrix sweeps
 //! never reach. Writes `BENCH_streaming.json`.
 //!
@@ -32,24 +32,25 @@ use dtc_formats::{CsrMatrix, DenseMatrix};
 use dtc_telemetry::json::Json;
 use std::time::Instant;
 
-/// Timing repeats per (point, path); the minimum is reported. Nine reps
-/// because the delta path's sub-millisecond timings are jitter-sensitive
-/// on a loaded single-core host and the gate below is a hard assert.
-const REPS: usize = 9;
+/// Interleaved (delta, rebuild) timing pairs per point. The gate reads
+/// the median of the per-pair ratios: a stall on a loaded two-core host
+/// lands in one pair, not in one path's best-of, so one odd rep cannot
+/// decide a hard assert.
+const REPS: usize = 21;
 
-/// One sweep point.
+/// One sweep point: median ms per path, and the median per-pair speedup.
 struct Point {
     windows_touched: usize,
     ops: usize,
     delta_ms: f64,
     rebuild_ms: f64,
+    speedup: f64,
     reselected: bool,
 }
 
-impl Point {
-    fn speedup(&self) -> f64 {
-        self.rebuild_ms / self.delta_ms
-    }
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// An edit batch touching exactly `k` of the matrix's row windows, spread
@@ -106,36 +107,44 @@ fn assert_bitwise(a: &CsrMatrix, delta: &MatrixDelta, policy: &DeltaPolicy) {
 
 /// Times one edit-batch size: the delta path (in-place `apply_delta` on a
 /// prepared engine) against the rebuild path (edited-CSR construction
-/// plus a cold `DtcSpmm::new`). Both are best-of-[`REPS`]; the engine the
-/// delta path patches is rebuilt untimed before every rep, since
+/// plus a cold `DtcSpmm::new`), in [`REPS`] interleaved pairs. The engine
+/// the delta path patches is rebuilt untimed before every pair, since
 /// `apply_delta` consumes the pre-edit state.
 fn sweep_point(a: &CsrMatrix, k: usize, policy: &DeltaPolicy) -> Point {
     let delta = make_delta(a, k, 0x57AE_A41B ^ k as u64);
     assert_bitwise(a, &delta, policy);
 
-    let mut delta_ms = f64::INFINITY;
+    let (mut delta_ms, mut rebuild_ms, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
     let mut reselected = false;
     for _ in 0..REPS {
         clear_conversion_cache();
         let mut engine = DtcSpmm::new(a);
         let t0 = Instant::now();
         let outcome = engine.apply_delta(&delta, policy).expect("apply_delta");
-        delta_ms = delta_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        let d = t0.elapsed().as_secs_f64() * 1e3;
         reselected = outcome.reselected;
         std::hint::black_box(&engine);
-    }
 
-    let mut rebuild_ms = f64::INFINITY;
-    for _ in 0..REPS {
         clear_conversion_cache();
         let t0 = Instant::now();
         let edited = delta.apply_to_csr(a).expect("apply_to_csr");
         let engine = DtcSpmm::new(&edited);
-        rebuild_ms = rebuild_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        let r = t0.elapsed().as_secs_f64() * 1e3;
         std::hint::black_box(&engine);
+
+        delta_ms.push(d);
+        rebuild_ms.push(r);
+        ratios.push(r / d);
     }
 
-    Point { windows_touched: k, ops: delta.len(), delta_ms, rebuild_ms, reselected }
+    Point {
+        windows_touched: k,
+        ops: delta.len(),
+        delta_ms: median(delta_ms),
+        rebuild_ms: median(rebuild_ms),
+        speedup: median(ratios),
+        reselected,
+    }
 }
 
 fn json_point(p: &Point) -> Json {
@@ -144,7 +153,7 @@ fn json_point(p: &Point) -> Json {
         ("ops", Json::usize(p.ops)),
         ("delta_ms", Json::f(p.delta_ms, 4)),
         ("rebuild_ms", Json::f(p.rebuild_ms, 4)),
-        ("speedup", Json::f(p.speedup(), 3)),
+        ("speedup", Json::f(p.speedup, 3)),
         ("reselected", Json::bool(p.reselected)),
     ])
 }
@@ -164,7 +173,7 @@ fn main() {
     let policy = DeltaPolicy::default();
     println!(
         "## streaming — {rows}x{rows}, {} nnz, {windows} windows, {} edit-batch sizes, \
-         best of {REPS}",
+         medians of {REPS} interleaved pairs",
         a.nnz(),
         ks.len()
     );
@@ -176,18 +185,13 @@ fn main() {
     for p in &points {
         println!(
             "| {} | {} | {:.4} | {:.4} | {:.2}x | {} |",
-            p.windows_touched,
-            p.ops,
-            p.delta_ms,
-            p.rebuild_ms,
-            p.speedup(),
-            p.reselected
+            p.windows_touched, p.ops, p.delta_ms, p.rebuild_ms, p.speedup, p.reselected
         );
     }
 
     // The crossover: the smallest touched-window count where patching no
     // longer beats rebuilding (None when patching wins everywhere).
-    let crossover = points.iter().find(|p| p.speedup() < 1.0).map(|p| p.windows_touched);
+    let crossover = points.iter().find(|p| p.speedup < 1.0).map(|p| p.windows_touched);
     match crossover {
         Some(k) => println!("\ncrossover at {k} touched windows (of {windows})"),
         None => println!("\nno crossover: the delta path won at every sweep point"),
@@ -197,26 +201,27 @@ fn main() {
     let single = &points[0];
     assert_eq!(single.windows_touched, 1, "sweep must start at one window");
     assert!(
-        single.speedup() >= 5.0,
+        single.speedup >= 5.0,
         "single-window delta speedup {:.2}x below the 5x acceptance bar \
          ({:.4} ms vs {:.4} ms)",
-        single.speedup(),
+        single.speedup,
         single.delta_ms,
         single.rebuild_ms
     );
     let widest = points.last().expect("non-empty sweep");
     assert!(
-        single.speedup() >= widest.speedup(),
+        single.speedup >= widest.speedup,
         "crossover sanity: speedup at 1 window ({:.2}x) must be >= at {} windows ({:.2}x)",
-        single.speedup(),
+        single.speedup,
         widest.windows_touched,
-        widest.speedup()
+        widest.speedup
     );
 
     let json = Json::obj(vec![
         ("bench", Json::str("streaming")),
         ("smoke", Json::bool(smoke)),
         ("timing_reps", Json::usize(REPS)),
+        ("timing_statistic", Json::str("median of interleaved delta/rebuild pairs")),
         (
             "matrix",
             Json::obj_inline(vec![

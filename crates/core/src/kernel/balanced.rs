@@ -3,10 +3,8 @@
 //! atomic-accumulation overhead for a perfectly even workload.
 
 use super::base::{DtcKernel, DTC_OCCUPANCY, DTC_WARPS};
-use super::{execute_metcf, KernelOpts};
-use dtc_baselines::util::{
-    check_spmm_dims, estimate_b_hit_rate, push_b_row_sectors, sectors_per_b_row,
-};
+use super::KernelOpts;
+use dtc_baselines::util::{estimate_b_hit_rate, push_b_row_sectors, sectors_per_b_row};
 use dtc_baselines::SpmmEngine;
 use dtc_formats::{CsrMatrix, DenseMatrix, FormatError, MeTcfMatrix, Precision};
 use dtc_sim::occupancy::KernelResources;
@@ -59,6 +57,11 @@ impl BalancedDtcKernel {
         }
     }
 
+    /// The base kernel this one wraps: same ME-TCF, same execute plan.
+    pub(crate) fn base(&self) -> &DtcKernel {
+        &self.inner
+    }
+
     /// Overrides the TC-block group size per thread block (design-choice
     /// ablation; the paper fixes 32).
     ///
@@ -102,10 +105,9 @@ impl SpmmEngine for BalancedDtcKernel {
     }
 
     fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, FormatError> {
-        check_spmm_dims(self.rows(), self.cols(), b)?;
         // Atomic accumulation is order-insensitive up to FP rounding; the
-        // sequential walk is the same sum.
-        Ok(execute_metcf(self.metcf(), b, self.inner.precision()))
+        // base kernel's per-row walk (and its plan) is the same sum.
+        self.inner.execute(b)
     }
 
     #[allow(clippy::needless_range_loop)] // `t` indexes three parallel structures

@@ -1,7 +1,7 @@
 //! The DTC-SpMM runtime kernel (Alg. 2): one thread block per row window
 //! over ME-TCF, PTX-level `mma.m16n8k4`, with the §4.4 optimizations.
 
-use super::{execute_metcf, KernelOpts};
+use super::{ExecPlan, KernelOpts};
 use dtc_baselines::util::{
     check_spmm_dims, distinct_col_count, estimate_b_hit_rate, push_b_row_sectors, sectors_per_b_row,
 };
@@ -9,6 +9,7 @@ use dtc_baselines::SpmmEngine;
 use dtc_formats::{CsrMatrix, DenseMatrix, FormatError, MeTcfMatrix, Precision};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, TbWork};
+use std::sync::OnceLock;
 
 /// The occupancy the paper measures for this kernel on RTX4090 (§4.5.2).
 pub(crate) const DTC_OCCUPANCY: usize = 6;
@@ -40,6 +41,9 @@ pub struct DtcKernel {
     opts: KernelOpts,
     precision: Precision,
     distinct_cols: usize,
+    /// Built by the first [`SpmmEngine::execute`]; simulate-only kernels
+    /// never pay for it.
+    plan: OnceLock<ExecPlan>,
 }
 
 impl DtcKernel {
@@ -57,6 +61,7 @@ impl DtcKernel {
             opts,
             precision: Precision::Tf32,
             distinct_cols: distinct_col_count(a),
+            plan: OnceLock::new(),
         }
     }
 
@@ -64,7 +69,7 @@ impl DtcKernel {
     /// conversion across kernels). `distinct_cols` is the number of
     /// distinct columns of the original matrix.
     pub fn from_metcf(metcf: MeTcfMatrix, distinct_cols: usize, opts: KernelOpts) -> Self {
-        DtcKernel { metcf, opts, precision: Precision::Tf32, distinct_cols }
+        DtcKernel { metcf, opts, precision: Precision::Tf32, distinct_cols, plan: OnceLock::new() }
     }
 
     /// Switches the Tensor-Core input precision (§7: the paper's design
@@ -72,6 +77,8 @@ impl DtcKernel {
     /// TC-pipe time at reduced multiplicand precision.
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
+        // The plan holds A rounded at the old precision.
+        self.plan = OnceLock::new();
         self
     }
 
@@ -94,6 +101,14 @@ impl DtcKernel {
     /// kernel).
     pub(crate) fn distinct_cols(&self) -> usize {
         self.distinct_cols
+    }
+
+    /// Exact execute from the kernel's plan (built on first use), writing
+    /// plan row `r` to output row `perm[r]`. Dimensions are the caller's
+    /// to check.
+    pub(crate) fn execute_permuted(&self, b: &DenseMatrix, perm: Option<&[usize]>) -> DenseMatrix {
+        let plan = self.plan.get_or_init(|| ExecPlan::build(&self.metcf, self.precision));
+        plan.execute(b, self.precision, perm)
     }
 
     /// Per-block instruction mix shared by the base and balanced kernels.
@@ -167,7 +182,7 @@ impl SpmmEngine for DtcKernel {
 
     fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, FormatError> {
         check_spmm_dims(self.rows(), self.cols(), b)?;
-        Ok(execute_metcf(&self.metcf, b, self.precision))
+        Ok(self.execute_permuted(b, None))
     }
 
     fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
@@ -316,6 +331,19 @@ mod tests {
             .unwrap()
             .max_abs_diff(&reference);
         assert!(bf16_err > tf32_err, "bf16 {} vs tf32 {}", bf16_err, tf32_err);
+    }
+
+    #[test]
+    fn with_precision_after_execute_rebuilds_the_plan() {
+        use dtc_formats::Precision;
+        let a = power_law(96, 96, 5.0, 2.2, 71);
+        let b = DenseMatrix::from_fn(96, 16, |r, c| ((r * 13 + c * 7) % 23) as f32 * 0.137);
+        let k = DtcKernel::new(&a);
+        let tf32 = k.execute(&b).unwrap();
+        let switched = k.clone().with_precision(Precision::Bf16).execute(&b).unwrap();
+        let fresh = DtcKernel::new(&a).with_precision(Precision::Bf16).execute(&b).unwrap();
+        assert_eq!(switched.as_slice(), fresh.as_slice(), "plan rounded at the old precision");
+        assert_ne!(switched.as_slice(), tf32.as_slice());
     }
 
     #[test]

@@ -10,66 +10,206 @@ pub use opts::KernelOpts;
 
 use dtc_formats::{DenseMatrix, MeTcfMatrix, Precision, BLOCK_WIDTH, WINDOW_HEIGHT};
 
-/// Shared exact-execution body: walks ME-TCF blocks performing
-/// precision-rounded multiply, FP32 accumulate — the numeric contract of
-/// `mma.sync.aligned.m16n8k4.f32.<p>.<p>.f32`.
+/// The host analogue of the paper's *index precomputing* (§4.4): every
+/// per-non-zero quantity the exact execute needs, resolved once per kernel.
 ///
-/// B is rounded once per execute into a staged copy (K·N rounding work
-/// instead of nnz·N), so the inner loop is a branch-free axpy. Rounding is
-/// a pure function and the accumulation order is unchanged, so the output
-/// is bitwise identical to rounding B at every multiply-add (a NaN stays a
-/// NaN; its sign and payload are code generation's choice either way).
+/// Row `r` of the ME-TCF matrix owns `col[row_ptr[r]..row_ptr[r + 1]]`
+/// (the B row each non-zero reads) and the matching `val` (its A value,
+/// already rounded to the kernel's precision). Within a row the entries
+/// keep the ME-TCF (block, entry) order, which is the order the block walk
+/// added them to that row's output, so each output element sees the same
+/// sequence of f32 adds.
 ///
-/// Mirrors the GPU decomposition on the host: one task per 16-row window,
-/// fanned out over `dtc_par::num_threads()` scoped threads. Each window owns
-/// a disjoint 16-row strip of C and runs the exact serial per-entry
-/// accumulation order, so the result is bit-identical to a serial walk for
-/// any thread count (see DESIGN.md, "Parallel host substrate").
-pub(crate) fn execute_metcf(
-    metcf: &MeTcfMatrix,
-    b: &DenseMatrix,
-    precision: Precision,
-) -> DenseMatrix {
-    let n = b.cols();
-    let mut c = DenseMatrix::zeros(metcf.rows(), n);
-    if n == 0 {
-        return c;
-    }
-    let b_tc = precision.round_dense(b);
-    // A window's strip costs ~(nnz + blocks) regardless of which worker
-    // runs it; nnz-weighted shard cuts plus chunk stealing keep skewed
-    // matrices from serializing on the heavy windows.
-    let weights = metcf.window_nnz_weights();
-    dtc_par::par_chunks_mut_weighted(c.as_mut_slice(), WINDOW_HEIGHT * n, &weights, |w, strip| {
-        execute_window(metcf, &b_tc, precision, w, strip, n);
-    });
-    c
+/// Size: 8 B per non-zero, 4 B per row, and one shard weight per 16-row
+/// window.
+#[derive(Debug, Clone)]
+pub(crate) struct ExecPlan {
+    row_ptr: Vec<u32>,
+    col: Vec<u32>,
+    val: Vec<f32>,
+    /// `MeTcfMatrix::window_nnz_weights`, kept for every execute's shard
+    /// cuts.
+    window_weights: Vec<u64>,
 }
 
-/// Executes one row window into its 16-row output strip (`strip` is shorter
-/// for a final partial window). `b_tc` is B already rounded to `precision`.
-fn execute_window(
-    metcf: &MeTcfMatrix,
-    b_tc: &DenseMatrix,
-    precision: Precision,
-    w: usize,
-    strip: &mut [f32],
-    n: usize,
-) {
-    for t in metcf.window_blocks(w) {
-        let cols = metcf.block_cols(t);
-        let (ids, vals) = metcf.block_entries(t);
-        for (&id, &v) in ids.iter().zip(vals) {
-            let local_row = (id as usize) / BLOCK_WIDTH;
-            let local_col = (id as usize) % BLOCK_WIDTH;
-            let col = cols[local_col] as usize;
-            let a_v = precision.round(v);
-            let out = &mut strip[local_row * n..(local_row + 1) * n];
-            for (o, &bv) in out.iter_mut().zip(b_tc.row(col)) {
-                *o += a_v * bv;
+impl ExecPlan {
+    /// Resolves `metcf` into a row-major plan, rounding A to `precision`
+    /// once here instead of on every execute. Both passes fan out one task
+    /// per window: a window's rows, and so their plan entries, are its own.
+    pub(crate) fn build(metcf: &MeTcfMatrix, precision: Precision) -> ExecPlan {
+        let rows = metcf.rows();
+        let window_weights = metcf.window_nnz_weights();
+        // Pass 1: entries per row.
+        let mut row_len = vec![0u32; rows];
+        dtc_par::par_chunks_mut_weighted(
+            &mut row_len,
+            WINDOW_HEIGHT,
+            &window_weights,
+            |w, lens| {
+                for t in metcf.window_blocks(w) {
+                    for &id in metcf.block_entries(t).0 {
+                        lens[id as usize / BLOCK_WIDTH] += 1;
+                    }
+                }
+            },
+        );
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0u32);
+        for len in row_len {
+            row_ptr.push(row_ptr[row_ptr.len() - 1] + len);
+        }
+        // Pass 2: each window scatters its entries in (block, entry) order
+        // into its own segment, so each row's entries land in the order
+        // the block walk visits them.
+        let nnz = metcf.nnz();
+        let (mut col, mut val) = (vec![0u32; nnz], vec![0f32; nnz]);
+        let mut segments = Vec::with_capacity(metcf.num_windows());
+        let (mut col_rest, mut val_rest) = (col.as_mut_slice(), val.as_mut_slice());
+        for w in 0..metcf.num_windows() {
+            let len = (row_ptr[((w + 1) * WINDOW_HEIGHT).min(rows)] - row_ptr[w * WINDOW_HEIGHT])
+                as usize;
+            let (c, c_rest) = std::mem::take(&mut col_rest).split_at_mut(len);
+            let (v, v_rest) = std::mem::take(&mut val_rest).split_at_mut(len);
+            (col_rest, val_rest) = (c_rest, v_rest);
+            segments.push((c, v));
+        }
+        dtc_par::par_chunks_mut_weighted(&mut segments, 1, &window_weights, |w, segment| {
+            let (col, val) = &mut segment[0];
+            let first = w * WINDOW_HEIGHT;
+            let mut cursor = [0usize; WINDOW_HEIGHT];
+            for (k, c) in cursor.iter_mut().enumerate().take(rows - first) {
+                *c = (row_ptr[first + k] - row_ptr[first]) as usize;
+            }
+            for t in metcf.window_blocks(w) {
+                let cols = metcf.block_cols(t);
+                let (ids, vals) = metcf.block_entries(t);
+                for (&id, &v) in ids.iter().zip(vals) {
+                    let at = &mut cursor[id as usize / BLOCK_WIDTH];
+                    col[*at] = cols[id as usize % BLOCK_WIDTH];
+                    val[*at] = v;
+                    *at += 1;
+                }
+            }
+            precision.round_slice(val);
+        });
+        ExecPlan { row_ptr, col, val, window_weights }
+    }
+
+    /// Exact execute: precision-rounded multiply, FP32 accumulate — the
+    /// numeric contract of `mma.sync.aligned.m16n8k4.f32.<p>.<p>.f32`.
+    /// `perm[r]` is the output row of plan row `r` (`None`: identity), so a
+    /// reordered engine's C comes back in original row order with no copy.
+    ///
+    /// B is rounded once per call (K·N work). Each row then runs column
+    /// tiles of 32, 16 and 8 lanes and a scalar tail; a tile's accumulators
+    /// start at `+0.0`, take the row's products in plan order and are
+    /// stored once. One task per 16-row window, in plan order so a
+    /// reordered engine keeps the locality reordering bought, fanned out
+    /// over `dtc_par` with nnz-weighted cuts. Every task writes its own
+    /// rows, so the result is bit-identical for any thread count (see
+    /// DESIGN.md, "Parallel host substrate").
+    pub(crate) fn execute(
+        &self,
+        b: &DenseMatrix,
+        precision: Precision,
+        perm: Option<&[usize]>,
+    ) -> DenseMatrix {
+        let n = b.cols();
+        let rows = self.row_ptr.len() - 1;
+        let mut c = DenseMatrix::zeros(rows, n);
+        if n == 0 {
+            return c;
+        }
+        let b_tc = precision.round_dense(b);
+        let b_tc = b_tc.as_slice();
+        let weights = &self.window_weights;
+        match perm {
+            None => dtc_par::par_chunks_mut_weighted(
+                c.as_mut_slice(),
+                WINDOW_HEIGHT * n,
+                weights,
+                |w, strip| self.execute_window(w, strip.chunks_exact_mut(n), b_tc),
+            ),
+            Some(perm) => {
+                // The output rows in plan order: disjoint `&mut` rows, so
+                // windows write straight into their permuted rows.
+                let mut by_output: Vec<Option<&mut [f32]>> =
+                    c.as_mut_slice().chunks_exact_mut(n).map(Some).collect();
+                let mut in_plan_order: Vec<&mut [f32]> = perm
+                    .iter()
+                    .map(|&o| by_output[o].take().expect("perm is a permutation"))
+                    .collect();
+                dtc_par::par_chunks_mut_weighted(
+                    &mut in_plan_order,
+                    WINDOW_HEIGHT,
+                    weights,
+                    |w, out_rows| {
+                        self.execute_window(w, out_rows.iter_mut().map(|r| &mut **r), b_tc)
+                    },
+                );
             }
         }
+        c
     }
+
+    /// Runs window `w`'s rows into `out_rows` (fewer than 16 for a final
+    /// partial window). `b` is B already rounded.
+    fn execute_window<'a>(
+        &self,
+        w: usize,
+        out_rows: impl Iterator<Item = &'a mut [f32]>,
+        b: &[f32],
+    ) {
+        for (r, out) in (w * WINDOW_HEIGHT..).zip(out_rows) {
+            let entries = self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize;
+            row_product(&self.col[entries.clone()], &self.val[entries], b, out);
+        }
+    }
+}
+
+/// `out = Σ val[e] · B[col[e], :]` over one output row, in entry order.
+fn row_product(cols: &[u32], vals: &[f32], b: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    let mut j = 0;
+    while j + 32 <= n {
+        tile::<32>(cols, vals, b, n, j, out);
+        j += 32;
+    }
+    if j + 16 <= n {
+        tile::<16>(cols, vals, b, n, j, out);
+        j += 16;
+    }
+    if j + 8 <= n {
+        tile::<8>(cols, vals, b, n, j, out);
+        j += 8;
+    }
+    for (jj, o) in out.iter_mut().enumerate().skip(j) {
+        let mut acc = 0.0f32;
+        for (&c, &v) in cols.iter().zip(vals) {
+            acc += v * b[c as usize * n + jj];
+        }
+        *o = acc;
+    }
+}
+
+/// Columns `j..j + T` of one output row, accumulated in registers.
+#[inline(always)]
+fn tile<const T: usize>(
+    cols: &[u32],
+    vals: &[f32],
+    b: &[f32],
+    n: usize,
+    j: usize,
+    out: &mut [f32],
+) {
+    let mut acc = [0.0f32; T];
+    for (&c, &v) in cols.iter().zip(vals) {
+        let src: &[f32; T] = b[c as usize * n + j..][..T].try_into().expect("tile width");
+        for (a, &x) in acc.iter_mut().zip(src) {
+            *a += v * x;
+        }
+    }
+    out[j..j + T].copy_from_slice(&acc);
 }
 
 #[cfg(test)]
@@ -78,10 +218,11 @@ mod tests {
     use crate::{DtcSpmm, EngineConfig, KernelChoice, SpmmEngine};
     use dtc_formats::gen::{community, power_law};
     use dtc_formats::tf32::TF32_UNIT_ROUNDOFF;
+    use dtc_formats::CsrMatrix;
 
-    /// The execute body before B was staged: `precision.round(bv)` at every
-    /// multiply-add, one serial walk over the windows. The bitwise oracle
-    /// for [`execute_metcf`].
+    /// The block-order execute walk the plan replaced, with A and B both
+    /// rounded at every multiply-add, one serial pass over the windows: the
+    /// bitwise oracle for [`ExecPlan::execute`].
     fn execute_metcf_per_mac(
         metcf: &MeTcfMatrix,
         b: &DenseMatrix,
@@ -168,9 +309,19 @@ mod tests {
                 .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
     }
 
+    /// Every tile width (32, 16, 8), their combinations, and the scalar
+    /// tail on its own and after each tile.
+    const ORACLE_NS: [usize; 13] = [1, 7, 8, 9, 16, 17, 24, 31, 32, 33, 40, 64, 100];
+
     #[test]
     fn staged_b_is_bitwise_identical_to_per_mac_rounding() {
-        let a = community(400, 400, 8, 10.0, 0.85, 14);
+        // Row 5 and the whole window of rows 32..48 are empty, so the plan
+        // has empty rows and, unreordered, an empty window.
+        let full = community(400, 400, 8, 10.0, 0.85, 14);
+        let kept: Vec<_> =
+            full.iter().filter(|&(r, _, _)| r != 5 && !(32..48).contains(&r)).collect();
+        let a = CsrMatrix::from_triplets(400, 400, &kept).unwrap();
+        assert!(a.row_len(5) == 0 && (32..48).all(|r| a.row_len(r) == 0));
         for precision in [Precision::Tf32, Precision::Fp16, Precision::Bf16] {
             for choice in [KernelChoice::Base, KernelChoice::Balanced] {
                 for reorder in [false, true] {
@@ -183,7 +334,7 @@ mod tests {
                     let engine = DtcSpmm::builder().config(config).build(&a);
                     assert_eq!(engine.choice(), choice);
                     assert_eq!(engine.permutation().is_some(), reorder);
-                    for n in [1, 7, 64] {
+                    for n in ORACLE_NS {
                         let b = hostile_b(a.cols(), n);
                         let kernel_out = execute_metcf_per_mac(engine.metcf(), &b, precision);
                         let mut want = kernel_out.clone();
@@ -192,7 +343,7 @@ mod tests {
                                 want.row_mut(orig_row).copy_from_slice(kernel_out.row(new_row));
                             }
                         }
-                        for threads in [1, 4] {
+                        for threads in [1, 2, 4] {
                             dtc_par::set_threads(Some(threads));
                             let got = engine.execute(&b).expect("execute");
                             dtc_par::set_threads(None);
@@ -208,11 +359,11 @@ mod tests {
     }
 
     #[test]
-    fn execute_metcf_matches_reference() {
+    fn exec_plan_matches_reference() {
         let a = power_law(100, 100, 6.0, 2.2, 51);
         let metcf = MeTcfMatrix::from_csr(&a);
         let b = DenseMatrix::from_fn(100, 16, |r, c| ((r + c) % 8) as f32 * 0.5);
-        let got = execute_metcf(&metcf, &b, Precision::Tf32);
+        let got = ExecPlan::build(&metcf, Precision::Tf32).execute(&b, Precision::Tf32, None);
         let want = a.spmm_reference(&b).unwrap();
         assert!(got.max_abs_diff(&want) < 50.0 * TF32_UNIT_ROUNDOFF);
     }

@@ -7,6 +7,7 @@ use crate::config::EngineConfig;
 use crate::error::DtcError;
 use crate::kernel::{BalancedDtcKernel, DtcKernel, KernelOpts};
 use crate::selector::{KernelChoice, Selector, SelectorDecision};
+use dtc_baselines::util::check_spmm_dims;
 use dtc_baselines::SpmmEngine;
 use dtc_formats::{
     CsrMatrix, DeltaReport, DenseMatrix, FormatError, MatrixDelta, MeTcfMatrix, Precision,
@@ -231,6 +232,14 @@ impl DtcAnyKernel {
             DtcAnyKernel::Balanced(k) => k,
         }
     }
+
+    /// The base kernel, whose ME-TCF and execute plan both variants share.
+    fn base(&self) -> &DtcKernel {
+        match self {
+            DtcAnyKernel::Base(k) => k,
+            DtcAnyKernel::Balanced(k) => k.base(),
+        }
+    }
 }
 
 /// The assembled DTC-SpMM engine: holds the (possibly reordered) ME-TCF
@@ -288,10 +297,7 @@ impl DtcSpmm {
 
     /// The ME-TCF representation in use.
     pub fn metcf(&self) -> &MeTcfMatrix {
-        match &self.kernel {
-            DtcAnyKernel::Base(k) => k.metcf(),
-            DtcAnyKernel::Balanced(k) => k.metcf(),
-        }
+        self.kernel.base().metcf()
     }
 
     /// Identity of the source matrix this engine was built from.
@@ -371,10 +377,10 @@ impl DtcSpmm {
             }
         };
 
-        // Patch a copy of the resident format; `self` is untouched until
-        // every fallible step has succeeded.
-        let mut patched = self.metcf().clone();
-        let report = patched.apply_delta(effective)?;
+        // Patch into a new format; `self` is untouched until every
+        // fallible step has succeeded.
+        let (patched, report) = self.metcf().patched(effective)?;
+        let patched = patched.unwrap_or_else(|| self.metcf().clone());
 
         // New identities and per-matrix statistics, straight from the
         // patched format. The common (unreordered) path never materializes
@@ -437,20 +443,13 @@ impl SpmmEngine for DtcSpmm {
         self.kernel.as_kernel().nnz()
     }
 
-    /// Runs the chosen kernel, then undoes the row permutation so callers
-    /// see original row order.
+    /// Runs the chosen kernel, writing each reordered row straight into its
+    /// original row, so callers see original row order at no extra copy.
+    /// The kernel's execute plan is built on the first call; a delta
+    /// re-lowers the kernel and with it the plan.
     fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, FormatError> {
-        let c = self.kernel.as_kernel().execute(b)?;
-        Ok(match &self.perm {
-            None => c,
-            Some(perm) => {
-                let mut out = DenseMatrix::zeros(c.rows(), c.cols());
-                for (new_row, &orig_row) in perm.iter().enumerate() {
-                    out.row_mut(orig_row).copy_from_slice(c.row(new_row));
-                }
-                out
-            }
-        })
+        check_spmm_dims(self.rows(), self.cols(), b)?;
+        Ok(self.kernel.base().execute_permuted(b, self.perm.as_deref()))
     }
 
     fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
@@ -539,7 +538,8 @@ mod tests {
     fn apply_delta_matches_fresh_build_bitwise() {
         // Engine-level equivalence: patching in place must give the same
         // ME-TCF (and the same execute output, bitwise) as building a fresh
-        // engine over the edited matrix.
+        // engine over the edited matrix. The engine executes before the
+        // delta, so a stale execute plan would show.
         let a = uniform(320, 320, 2600, 210);
         let mut delta = MatrixDelta::new();
         for i in 0..40 {
@@ -550,15 +550,17 @@ mod tests {
                 delta.insert(r, c, i as f32 * 0.25 - 3.0);
             }
         }
+        let b = DenseMatrix::from_fn(320, 8, |r, c| ((r * 7 + c) % 13) as f32 - 6.0);
         let mut engine = DtcSpmm::new(&a);
+        let before = engine.execute(&b).unwrap();
         let outcome = engine.apply_delta(&delta, &DeltaPolicy::default()).unwrap();
         let edited = delta.apply_to_csr(&a).unwrap();
         let fresh = DtcSpmm::new(&edited);
         assert_eq!(engine.metcf(), fresh.metcf(), "patched format must equal rebuild");
         assert_eq!(engine.key(), fresh.key(), "post-edit identity must equal rebuild");
         assert_eq!(outcome.report.nnz_after, edited.nnz());
-        let b = DenseMatrix::from_fn(320, 8, |r, c| ((r * 7 + c) % 13) as f32 - 6.0);
         let via_delta = engine.execute(&b).unwrap();
+        assert_ne!(before.as_slice(), via_delta.as_slice(), "the edit must change the output");
         let via_fresh = fresh.execute(&b).unwrap();
         assert_eq!(via_delta.as_slice(), via_fresh.as_slice(), "execution must be bitwise equal");
     }
@@ -566,8 +568,11 @@ mod tests {
     #[test]
     fn apply_delta_remaps_rows_through_frozen_permutation() {
         let a = community(320, 320, 16, 10.0, 0.9, 211);
+        let b = DenseMatrix::from_fn(320, 4, |r, _| (r % 9) as f32 * 0.5);
         let mut engine = DtcSpmm::builder().reorder(true).build(&a);
         let perm_before = engine.permutation().unwrap().to_vec();
+        // Execute first, so a stale execute plan would show below.
+        let _ = engine.execute(&b).unwrap();
         let mut delta = MatrixDelta::new();
         delta.insert(5, 7, 2.5);
         delta.delete(100, 100);
@@ -576,7 +581,6 @@ mod tests {
         assert_eq!(engine.permutation().unwrap(), perm_before, "permutation is frozen");
         // Against the reference: edits were expressed in original rows.
         let edited = delta.apply_to_csr(&a).unwrap();
-        let b = DenseMatrix::from_fn(320, 4, |r, _| (r % 9) as f32 * 0.5);
         let got = engine.execute(&b).unwrap();
         let want = edited.spmm_reference(&b).unwrap();
         assert!(got.max_abs_diff(&want) < 40.0 * TF32_UNIT_ROUNDOFF);

@@ -279,6 +279,26 @@ impl MeTcfMatrix {
     /// matrix would exceed the format's `u32` offset range. The matrix is
     /// unchanged on error.
     pub fn apply_delta(&mut self, delta: &MatrixDelta) -> Result<DeltaReport, FormatError> {
+        let (patched, report) = self.patched(delta)?;
+        if let Some(patched) = patched {
+            *self = patched;
+        }
+        Ok(report)
+    }
+
+    /// [`MeTcfMatrix::apply_delta`] into a new matrix, leaving `self`
+    /// untouched: the patched matrix (`None` for an empty batch, which
+    /// changes nothing) and the report. Callers that must stay unchanged
+    /// until later fallible steps succeed use this instead of patching a
+    /// clone, which would copy every array twice.
+    ///
+    /// # Errors
+    ///
+    /// As [`MeTcfMatrix::apply_delta`].
+    pub fn patched(
+        &self,
+        delta: &MatrixDelta,
+    ) -> Result<(Option<MeTcfMatrix>, DeltaReport), FormatError> {
         delta.check_bounds(self.rows(), self.cols())?;
         let mut report = DeltaReport {
             windows: Vec::new(),
@@ -288,7 +308,7 @@ impl MeTcfMatrix {
             blocks_after: self.num_tc_blocks(),
         };
         if delta.is_empty() {
-            return Ok(report);
+            return Ok((None, report));
         }
 
         // Re-condense each touched window through the same per-window SGT
@@ -318,37 +338,35 @@ impl MeTcfMatrix {
             patched.insert(w, MeTcfMatrix::from_csr(&sub));
         }
 
+        // Both totals are checked up front: offsets are monotone, so every
+        // spliced offset is bounded by its array's final total.
+        let (mut new_nnz, mut new_blocks) = (self.nnz() as i64, self.num_tc_blocks() as i64);
+        for (&w, sub) in &patched {
+            let blocks = self.window_blocks(w);
+            let before = self.tc_offset()[blocks.end] - self.tc_offset()[blocks.start];
+            new_nnz += sub.nnz() as i64 - i64::from(before);
+            new_blocks += sub.num_tc_blocks() as i64 - blocks.len() as i64;
+        }
+        let (new_nnz, new_blocks) = (new_nnz as usize, new_blocks as usize);
+        u32::try_from(new_nnz)
+            .map_err(|_| FormatError::IndexOverflow { what: "nnz", count: new_nnz })?;
+        u32::try_from(new_blocks)
+            .map_err(|_| FormatError::IndexOverflow { what: "tc blocks", count: new_blocks })?;
+
         // One splice pass over the windows: untouched windows copy their
         // array slices with offsets re-based; touched windows take the
         // freshly packed single-window arrays.
-        let nnz_bound = |count: usize| {
-            u32::try_from(count).map_err(|_| FormatError::IndexOverflow { what: "nnz", count })
-        };
-        let block_bound = |count: usize| {
-            u32::try_from(count)
-                .map_err(|_| FormatError::IndexOverflow { what: "tc blocks", count })
-        };
-        let new_nnz = self.nnz() as i64
-            + patched
-                .iter()
-                .map(|(&w, sub)| {
-                    let blocks = self.window_blocks(w);
-                    let before =
-                        self.tc_offset()[blocks.end] as i64 - self.tc_offset()[blocks.start] as i64;
-                    sub.nnz() as i64 - before
-                })
-                .sum::<i64>();
-        nnz_bound(new_nnz as usize)?;
-
         let mut row_window_offset: Vec<u32> = Vec::with_capacity(self.num_windows() + 1);
-        let mut tc_offset: Vec<u32> = Vec::new();
-        let mut tc_local_id: Vec<u8> = Vec::with_capacity(new_nnz as usize);
-        let mut sparse_a_to_b: Vec<u32> = Vec::new();
-        let mut values: Vec<f32> = Vec::with_capacity(new_nnz as usize);
+        let mut tc_offset: Vec<u32> = Vec::with_capacity(new_blocks + 1);
+        let mut tc_local_id: Vec<u8> = Vec::with_capacity(new_nnz);
+        let mut sparse_a_to_b: Vec<u32> = Vec::with_capacity(new_blocks * crate::BLOCK_WIDTH);
+        let mut values: Vec<f32> = Vec::with_capacity(new_nnz);
         row_window_offset.push(0);
         tc_offset.push(0);
         for w in 0..self.num_windows() {
             let blocks = self.window_blocks(w);
+            // Where this window's entries start in the spliced arrays.
+            let base = tc_local_id.len() as u32;
             match patched.get(&w) {
                 Some(sub) => {
                     report.windows.push(WindowDeltaStat {
@@ -359,36 +377,33 @@ impl MeTcfMatrix {
                         blocks_before: blocks.len(),
                         blocks_after: sub.num_tc_blocks(),
                     });
-                    let base = tc_local_id.len();
+                    tc_offset.extend(sub.tc_offset()[1..].iter().map(|&o| o + base));
                     tc_local_id.extend_from_slice(sub.tc_local_id());
                     values.extend_from_slice(sub.values());
                     sparse_a_to_b.extend_from_slice(sub.sparse_a_to_b());
-                    for t in 0..sub.num_tc_blocks() {
-                        tc_offset.push(nnz_bound(base + sub.tc_offset()[t + 1] as usize)?);
-                    }
                 }
                 None => {
-                    let old = self.tc_offset()[blocks.start] as usize
-                        ..self.tc_offset()[blocks.end] as usize;
+                    let from = self.tc_offset()[blocks.start];
+                    let old = from as usize..self.tc_offset()[blocks.end] as usize;
+                    tc_offset.extend(
+                        self.tc_offset()[blocks.start + 1..=blocks.end]
+                            .iter()
+                            .map(|&o| o - from + base),
+                    );
                     tc_local_id.extend_from_slice(&self.tc_local_id()[old.clone()]);
                     values.extend_from_slice(&self.values()[old]);
                     sparse_a_to_b.extend_from_slice(
                         &self.sparse_a_to_b()
                             [blocks.start * crate::BLOCK_WIDTH..blocks.end * crate::BLOCK_WIDTH],
                     );
-                    for t in blocks.clone() {
-                        let in_block = (self.tc_offset()[t + 1] - self.tc_offset()[t]) as usize;
-                        let prev = *tc_offset.last().unwrap() as usize;
-                        tc_offset.push(nnz_bound(prev + in_block)?);
-                    }
-                    debug_assert_eq!(*tc_offset.last().unwrap() as usize, tc_local_id.len());
                 }
             }
-            row_window_offset.push(block_bound(tc_offset.len() - 1)?);
+            debug_assert_eq!(*tc_offset.last().unwrap() as usize, tc_local_id.len());
+            row_window_offset.push((tc_offset.len() - 1) as u32);
         }
         report.nnz_after = tc_local_id.len();
         report.blocks_after = tc_offset.len() - 1;
-        *self = MeTcfMatrix::from_raw_parts(
+        let m = MeTcfMatrix::from_raw_parts(
             self.rows(),
             self.cols(),
             row_window_offset,
@@ -397,7 +412,7 @@ impl MeTcfMatrix {
             sparse_a_to_b,
             values,
         );
-        Ok(report)
+        Ok((Some(m), report))
     }
 }
 

@@ -236,18 +236,12 @@ impl MeTcfMatrix {
     /// the non-padding slots counts exactly what a CSR scan would).
     pub fn distinct_cols(&self) -> usize {
         let mut seen = vec![0u64; self.cols.div_ceil(64)];
-        let mut count = 0;
         for &c in &self.sparse_a_to_b {
-            if c == PAD_COL {
-                continue;
-            }
-            let (word, bit) = (c as usize / 64, c as usize % 64);
-            if seen[word] & (1 << bit) == 0 {
-                seen[word] |= 1 << bit;
-                count += 1;
+            if c != PAD_COL {
+                seen[c as usize / 64] |= 1 << (c % 64);
             }
         }
-        count
+        seen.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Index-array element count in 32-bit units (§4.2):

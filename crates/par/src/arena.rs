@@ -18,7 +18,7 @@
 //! behaviour does.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, TryLockError};
 
 /// Typed pools of reusable scratch buffers. See the module docs.
 ///
@@ -157,14 +157,20 @@ fn pool() -> &'static [Mutex<ScratchArena>; POOL_SLOTS] {
 /// Runs `f` with the pooled arena preferred by `worker`, scanning forward
 /// under contention and falling back to a local arena if every slot is
 /// busy (never blocks, so nested parallel sections cannot deadlock).
+///
+/// A slot poisoned by a job that panicked mid-lease is taken over as is:
+/// its buffers are valid whatever the job left in them, because every
+/// lease clears them.
 pub(crate) fn with_worker_arena<R>(worker: usize, f: impl FnOnce(&mut ScratchArena) -> R) -> R {
     let (resets, _) = telemetry_handles();
     resets.incr();
     let pool = pool();
     let start = worker % POOL_SLOTS;
     for k in 0..POOL_SLOTS {
-        if let Ok(mut arena) = pool[(start + k) % POOL_SLOTS].try_lock() {
-            return f(&mut arena);
+        match pool[(start + k) % POOL_SLOTS].try_lock() {
+            Ok(mut arena) => return f(&mut arena),
+            Err(TryLockError::Poisoned(poisoned)) => return f(&mut poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => {}
         }
     }
     f(&mut ScratchArena::new())

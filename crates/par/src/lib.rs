@@ -30,10 +30,13 @@
 //! Thread count resolution order: [`set_threads`] override (used by bench
 //! sweeps), then the `DTC_THREADS` environment variable, then
 //! `std::thread::available_parallelism()`. `threads == 1` runs the exact
-//! serial loop on the calling thread — no spawn, no overhead. Parallel
-//! sections never nest OS threads: an engine entered from inside a worker
-//! runs its indices serially on that worker (results are identical either
-//! way, and nested spawning only ever added overhead).
+//! serial loop on the calling thread — no spawn, no overhead. With more
+//! bands, the calling thread runs band 0 itself, as a worker, and spawns
+//! one scoped thread per other band: a section of `b` bands costs `b − 1`
+//! spawns. Parallel sections never nest OS threads: an engine entered from
+//! inside a worker (band 0 on the caller included) runs its indices
+//! serially on that worker (results are identical either way, and nested
+//! spawning only ever added overhead).
 //!
 //! # Measuring on small hosts
 //!
@@ -498,8 +501,17 @@ fn victim_start(seed: u64, w: usize, nbands: usize) -> Option<usize> {
     })
 }
 
-/// Runs one deque of jobs per worker thread with work stealing. Returns
-/// `(busy_sum, busy_max, steals)` in nanoseconds/events.
+/// Runs one deque of jobs per band with work stealing: bands `1..` on
+/// scoped worker threads, band 0 on the calling thread, which would
+/// otherwise sit idle in the join. Returns `(busy_sum, busy_max, steals)`
+/// in nanoseconds/events.
+///
+/// The caller runs its band as a worker: `IN_WORKER` is set (nested
+/// sections run serially), jobs run under `HOT_LOOP`, and it leases the
+/// band-0 arena; both flags are restored on return or unwind. It opens no
+/// `par.shard` span, because its time already sits inside its own spans.
+/// A panic in any band re-raises on the caller with the job's own payload
+/// once every band has stopped.
 ///
 /// Per-worker busy time is wall-clock over the worker's lifetime, which
 /// overstates busy time when the host has fewer cores than workers — use
@@ -512,40 +524,44 @@ where
     let nbands = queues.len();
     let seed = STEAL_SEED.load(Ordering::Relaxed);
     let queues: Vec<Mutex<VecDeque<J>>> = queues.into_iter().map(Mutex::new).collect();
-    let mut outcomes: Vec<(u64, u64)> = Vec::new();
+    let queues = &queues;
+    let band = move |w: usize| {
+        let _worker = FlagGuard::set(&IN_WORKER, true);
+        let started = Instant::now();
+        let mut steals = 0u64;
+        arena::with_worker_arena(w, |scratch| loop {
+            let own = queues[w].lock().unwrap_or_else(PoisonError::into_inner).pop_front();
+            let job = match own {
+                Some(job) => job,
+                None => match steal_from(queues, w, seed) {
+                    Some(job) => {
+                        steals += 1;
+                        job
+                    }
+                    None => break,
+                },
+            };
+            let _hot = FlagGuard::set(&HOT_LOOP, true);
+            exec(job, scratch);
+        });
+        (started.elapsed().as_nanos() as u64, steals)
+    };
+    let mut outcomes: Vec<(u64, u64)> = Vec::with_capacity(nbands);
     std::thread::scope(|scope| {
-        let queues = &queues;
-        let handles: Vec<_> = (0..nbands)
+        let handles: Vec<_> = (1..nbands)
             .map(|w| {
                 scope.spawn(move || {
                     // Shard timing: aggregated across worker threads by the
                     // telemetry registry (no-op unless a sink is enabled).
                     let _shard = dtc_telemetry::span("par.shard");
-                    let _worker = FlagGuard::set(&IN_WORKER, true);
-                    let started = Instant::now();
-                    let mut steals = 0u64;
-                    arena::with_worker_arena(w, |scratch| loop {
-                        let own =
-                            queues[w].lock().unwrap_or_else(PoisonError::into_inner).pop_front();
-                        let job = match own {
-                            Some(job) => job,
-                            None => match steal_from(queues, w, seed) {
-                                Some(job) => {
-                                    steals += 1;
-                                    job
-                                }
-                                None => break,
-                            },
-                        };
-                        let _hot = FlagGuard::set(&HOT_LOOP, true);
-                        exec(job, scratch);
-                    });
-                    (started.elapsed().as_nanos() as u64, steals)
+                    band(w)
                 })
             })
             .collect();
-        outcomes =
-            handles.into_iter().map(|h| h.join().expect("dtc-par worker panicked")).collect();
+        outcomes.push(band(0));
+        for h in handles {
+            outcomes.push(h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+        }
     });
     let busy_sum = outcomes.iter().map(|o| o.0).sum();
     let busy_max = outcomes.iter().map(|o| o.0).max().unwrap_or(0);
@@ -1018,6 +1034,84 @@ mod tests {
         for (i, inner) in out.iter().enumerate() {
             let expect: Vec<usize> = (0..10).map(|j| i * 10 + j).collect();
             assert_eq!(inner, &expect);
+        }
+        set_threads(None);
+    }
+
+    /// Two one-chunk bands.
+    fn two_band_plan() -> ShardPlan {
+        ShardPlan::from_raw_parts(2, vec![(0, 1), (1, 2)], vec![(0, 1), (1, 2)])
+    }
+
+    /// Marks item `i` of [`two_band_plan`] started, then waits for the
+    /// other. Each band pops its own chunk before it steals, and neither
+    /// chunk can finish before the other has started, so item 0 runs on
+    /// the caller's band 0 and item 1 on the spawned worker.
+    fn rendezvous(started: &[AtomicBool; 2], i: usize) {
+        started[i].store(true, Ordering::SeqCst);
+        while !started[1 - i].load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn caller_runs_band_zero_as_a_worker_and_restores_its_flags() {
+        let _guard = lock();
+        set_threads(Some(2));
+        set_exec_log(true);
+        let _ = drain_exec_log();
+        let caller = std::thread::current().id();
+        for _ in 0..2 {
+            let started = [AtomicBool::new(false), AtomicBool::new(false)];
+            let out = par_map_collect_plan(&two_band_plan(), |i, _| {
+                rendezvous(&started, i);
+                if i == 0 {
+                    // A nested section inside band 0 runs serially.
+                    let nested = par_map_collect(10, |j| j * 2);
+                    assert_eq!(nested, (0..10).map(|j| j * 2).collect::<Vec<_>>());
+                }
+                (std::thread::current().id(), in_worker(), hot_loop_active())
+            });
+            assert_eq!(out[0], (caller, true, true), "band 0 runs on the caller, as a worker");
+            assert_ne!(out[1].0, caller);
+            assert!(!in_worker() && !hot_loop_active(), "caller flags restored");
+        }
+        set_exec_log(false);
+        let log = drain_exec_log();
+        set_threads(None);
+        // Per call: the nested section (serial, entered in a worker), then
+        // the outer one, which fanned out both times.
+        let shape: Vec<_> = log.iter().map(|r| (r.n, r.bands_used, r.in_worker_at_entry)).collect();
+        assert_eq!(shape, [(10, 1, true), (2, 2, false), (10, 1, true), (2, 2, false)]);
+    }
+
+    #[test]
+    fn a_panic_in_any_band_surfaces_with_its_own_payload() {
+        let _guard = lock();
+        set_threads(Some(2));
+        for panicking in [0usize, 1] {
+            let started = [AtomicBool::new(false), AtomicBool::new(false)];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                par_map_collect_plan(&two_band_plan(), |i, _| {
+                    rendezvous(&started, i);
+                    if i == panicking {
+                        std::panic::panic_any(format!("job {i} failed"));
+                    }
+                    i
+                })
+            }));
+            let payload = caught.expect_err("the job panic must propagate");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(format!("job {panicking} failed").as_str())
+            );
+            assert!(!in_worker() && !hot_loop_active(), "flags restored on unwind");
+            // The caller stays usable, and its pooled arena is not lost.
+            assert_eq!(par_map_collect(100, |i| i + 1), (1..=100).collect::<Vec<_>>());
+            with_arena(|scratch| {
+                let v = scratch.usize_buf();
+                scratch.recycle_usize(v);
+            });
         }
         set_threads(None);
     }

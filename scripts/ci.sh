@@ -15,6 +15,9 @@ cargo test --offline -q --manifest-path perfbench/Cargo.toml
 echo "== cargo test (sim compression equivalence)"
 cargo test -q --test sim_compression
 
+echo "== cargo test --release (dtc-core kernel bitwise oracle under the optimiser)"
+cargo test --release -q -p dtc-core kernel::
+
 echo "== cargo bench --no-run"
 cargo bench --no-run --workspace
 
