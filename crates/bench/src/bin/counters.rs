@@ -78,40 +78,21 @@ fn main() {
     dump_par();
 }
 
-/// Every cache in the stack: the totals (`core.cache.*` — each lookup
-/// counted once whichever tier resolved it) alongside the `cache.<name>.*`
-/// counters of the two lossy front tiers, conversion and intern.
+/// Every cache in the stack: hit/miss totals of the process-wide
+/// conversion cache and the per-engine trace caches.
 fn dump_caches() {
-    println!(
-        "\n### caches (front tier {})",
-        if dtc_par::front_tier_enabled() { "on" } else { "off" }
-    );
+    println!("\n### caches");
     let c = |name: &str| dtc_telemetry::counter(name).get();
     println!(
-        "  conversion      {:10} hits / {} misses / {} collisions (total)",
+        "  conversion      {:10} hits / {} misses",
         c("core.cache.conversion.hits"),
-        c("core.cache.conversion.misses"),
-        c("core.cache.conversion.collisions")
+        c("core.cache.conversion.misses")
     );
     println!(
-        "  trace           {:10} hits / {} misses (total)",
+        "  trace           {:10} hits / {} misses",
         c("core.cache.trace.hits"),
         c("core.cache.trace.misses")
     );
-    for name in ["conversion", "intern"] {
-        let hits = c(&format!("cache.{name}.l1_hits"));
-        let misses = c(&format!("cache.{name}.l1_misses"));
-        if hits + misses == 0 {
-            continue; // tier never probed in this run
-        }
-        println!(
-            "  {name:<15} {hits:10} l1 hits / {} l1 misses / {} evictions / {} verify rejects ({:.0} ns/lookup sampled)",
-            misses,
-            c(&format!("cache.{name}.l1_evictions")),
-            c(&format!("cache.{name}.verify_rejects")),
-            dtc_telemetry::gauge(&format!("cache.{name}.ns_per_lookup")).get()
-        );
-    }
 }
 
 /// The host-side parallel substrate's own counters, accumulated over every

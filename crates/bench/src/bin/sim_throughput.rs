@@ -150,28 +150,15 @@ fn main() {
         l2_rows.push((threads, best_wall, wall_speedup, max_shard_ms, cp_speedup, sectors_per_sec));
     }
 
-    // Two-tier intern front cache: trace construction replays the same few
-    // dozen work classes, so the interner's lossy front tier should absorb
-    // most exact-map probes. End-to-end build-time delta, exact-only vs
-    // two-tier (class tables are identical either way).
-    let time_build = |enabled: bool| -> f64 {
-        dtc_par::set_front_tier_enabled(enabled);
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let t = synthetic_trace(blocks, shapes, false);
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-            assert_eq!(t.num_classes(), interned.num_classes(), "front tier changed interning");
-        }
-        best
-    };
-    let build_exact_ms = time_build(false);
-    let build_tiered_ms = time_build(true);
-    dtc_par::set_front_tier_enabled(true);
-    let intern_speedup = build_exact_ms / build_tiered_ms.max(1e-9);
-    eprintln!(
-        "  intern front tier: exact-only build {build_exact_ms:8.3} ms, two-tier {build_tiered_ms:8.3} ms  ({intern_speedup:.2}x)"
-    );
+    // Trace construction: every push is one interning lookup.
+    let mut build_ms = f64::INFINITY;
+    for _ in 0..REPS {
+        let t0 = Instant::now();
+        let t = synthetic_trace(blocks, shapes, false);
+        build_ms = build_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(t.num_classes(), interned.num_classes());
+    }
+    eprintln!("  interned trace build {build_ms:8.3} ms");
 
     // Memory: encoded trace vs the raw u64 sector addresses it replaces.
     let raw_stream_bytes = sectors * std::mem::size_of::<u64>();
@@ -198,6 +185,7 @@ fn main() {
             Json::obj_inline(vec![
                 ("blocks", Json::raw(blocks.to_string())),
                 ("classes", Json::usize(interned.num_classes())),
+                ("build_ms", Json::f(build_ms, 4)),
                 ("sectors", Json::raw(sectors.to_string())),
                 ("bytes", Json::raw(trace_bytes.to_string())),
                 ("raw_stream_bytes", Json::raw(raw_stream_bytes.to_string())),
@@ -238,14 +226,6 @@ fn main() {
                     })
                     .collect(),
             ),
-        ),
-        (
-            "intern_front_tier",
-            Json::obj_inline(vec![
-                ("exact_build_ms", Json::f(build_exact_ms, 4)),
-                ("two_tier_build_ms", Json::f(build_tiered_ms, 4)),
-                ("speedup", Json::f(intern_speedup, 3)),
-            ]),
         ),
     ])
     .render();

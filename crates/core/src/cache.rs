@@ -3,42 +3,19 @@
 //!
 //! The paper's §6 point is that conversion overhead amortizes across the
 //! thousands of SpMM calls an iterative workload makes; this cache makes
-//! the host-side analogue concrete. Lookup is **two-tier**:
-//!
-//! 1. a lossy [`FrontTier`] keyed by [`KeyMaterial::fingerprint`] and
-//!    verified by full [`KeyMaterial`] equality on every hit. A front hit
-//!    skips [`matrix_key`] entirely — the three full-array passes the
-//!    exact tier's primary key costs — so a steady-state repeated build
-//!    pays only the material checksums plus one direct-mapped probe;
-//! 2. the exact tier: the primary key is a 64-bit FNV-1a hash over the
-//!    full matrix structure (shape, `row_ptr`, `col_idx`, value bits) —
-//!    but a bare 64-bit hash is not an identity: a collision would
-//!    silently return *another matrix's* conversion and corrupt every
-//!    downstream result. Each entry therefore stores independent key
-//!    material ([`KeyMaterial`]: dims, nnz, and second-hash checksums of
-//!    the index and value arrays) that is verified on every hit;
-//!    mismatches are counted in `core.cache.conversion.collisions` and
-//!    fall through to a fresh conversion stored alongside the colliding
-//!    entry.
-//!
-//! Both tiers resolve to the same `Arc`, so results are bitwise identical
-//! with the front tier on, off (`dtc_par::set_front_tier_enabled`), or
-//! thrashing. Front-tier traffic is counted under `cache.conversion.*`
-//! (l1 hits/misses/evictions/verify rejects); total hit/miss counts live
-//! in the process-wide [`dtc_telemetry`] registry
-//! (`core.cache.conversion.hits` / `.misses`) and count each lookup once
-//! regardless of which tier resolved it, so [`conversion_cache_stats`] —
-//! the thin PR-2-era reader over the registry — needs no caller changes
-//! and never double-counts.
+//! the host-side analogue concrete. It is one exact map keyed by the
+//! matrix's full [`KeyMaterial`] — dims, nnz, and checksums of the three
+//! CSR arrays — so a hit needs every field to match and a matrix that
+//! differs in any one of them converts fresh. Hit/miss counts live in the
+//! process-wide [`dtc_telemetry`] registry (`core.cache.conversion.hits` /
+//! `.misses`), read by [`conversion_cache_stats`].
 
 use crate::error::DtcError;
 use crate::telemetry::{
-    conversion_cache_collisions, conversion_cache_hits, conversion_cache_invalidations,
-    conversion_cache_misses,
+    conversion_cache_hits, conversion_cache_invalidations, conversion_cache_misses,
 };
 use dtc_formats::{CsrMatrix, MeTcfMatrix, BLOCK_WIDTH, WINDOW_HEIGHT};
 use dtc_par::hash::{fnv1a, fnv1a_slice, Fnv1a};
-use dtc_par::FrontTier;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -52,14 +29,14 @@ pub struct CachedConversion {
     pub distinct_cols: usize,
 }
 
-/// Matrix identity material, verified on every primary-key hit — and the
-/// identity the serving layer computes from each request's matrix to key
-/// its engine pool (engines themselves carry none).
+/// Matrix identity material: the conversion cache's key — and the identity
+/// the serving layer computes from each request's matrix to key its engine
+/// pool (engines themselves carry none).
 ///
 /// Dims and nnz are stored outright; the three arrays are summarized by
-/// FNV-1a checksums seeded differently from [`matrix_key`], so a
-/// primary-key collision and a simultaneous three-checksum collision would
-/// need independent 64-bit coincidences.
+/// FNV-1a checksums under distinct seeds, so two matrices share an identity
+/// only if they agree on shape and nnz and all three 64-bit checksums
+/// collide at once.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KeyMaterial {
     rows: usize,
@@ -74,8 +51,8 @@ impl KeyMaterial {
     /// Computes the identity material of a matrix (three chunked-parallel
     /// checksum passes; digests are independent of `DTC_THREADS`).
     pub fn of(a: &CsrMatrix) -> Self {
-        // Distinct offset bases decorrelate the checksums from the primary
-        // key (all use the same FNV prime over the same streams).
+        // Distinct offset bases decorrelate the three checksums (all use
+        // the same FNV prime).
         KeyMaterial {
             rows: a.rows(),
             cols: a.cols(),
@@ -173,9 +150,7 @@ impl KeyMaterial {
     }
 
     /// A single 64-bit digest of the full material (dims, nnz and all
-    /// three checksums), for callers that bucket by one word and verify
-    /// with the full `KeyMaterial` equality — the conversion cache's and
-    /// the serve pool's discipline.
+    /// three checksums), for callers that want the identity as one word.
     pub fn fingerprint(&self) -> u64 {
         fnv1a(
             0xa135_2969_7a6b_11c4,
@@ -192,100 +167,39 @@ impl KeyMaterial {
     }
 }
 
-/// Bound on resident exact-tier entries; reaching it clears both tiers
-/// (the workloads we serve cycle over small dataset suites, so wholesale
-/// eviction is fine and keeps the bookkeeping trivial).
+/// Bound on resident entries; reaching it clears the cache (the workloads
+/// we serve cycle over small dataset suites, so wholesale eviction is fine
+/// and keeps the bookkeeping trivial).
 const CACHE_CAP: usize = 64;
 
-/// Front-tier slots: comfortably above [`CACHE_CAP`], so a working set the
-/// exact tier retains can also be fully front-resident.
-const FRONT_SLOTS: usize = 256;
+type ConvMap = HashMap<KeyMaterial, Arc<CachedConversion>>;
 
-/// Each primary key holds a small bucket so verified non-matches
-/// (collisions) can coexist instead of evicting each other.
-type Bucket = Vec<(KeyMaterial, Arc<CachedConversion>)>;
+static CACHE: OnceLock<Mutex<ConvMap>> = OnceLock::new();
 
-/// Both tiers under one lock: the front tier can never disagree with the
-/// exact store about what is resident.
-struct ConvCache {
-    front: FrontTier<KeyMaterial, Arc<CachedConversion>>,
-    exact: HashMap<u64, Bucket>,
-}
-
-static CACHE: OnceLock<Mutex<ConvCache>> = OnceLock::new();
-
-fn cache() -> &'static Mutex<ConvCache> {
-    CACHE.get_or_init(|| {
-        Mutex::new(ConvCache {
-            front: FrontTier::new("conversion", FRONT_SLOTS),
-            exact: HashMap::new(),
-        })
-    })
-}
-
-/// FNV-1a over the matrix's full structure and value bits (each array
-/// digested by the chunked-parallel pass, digests combined in order).
-pub fn matrix_key(a: &CsrMatrix) -> u64 {
-    let shape = fnv1a(
-        0xcbf2_9ce4_8422_2325,
-        [a.rows() as u64, a.cols() as u64, a.nnz() as u64].into_iter(),
-    );
-    let parts = [
-        fnv1a_slice(0x84222325_cbf29ce4, a.row_ptr(), |&p| p as u64),
-        fnv1a_slice(0x9ce48422_2325cbf2, a.col_idx(), |&c| c as u64),
-        fnv1a_slice(0x2325cbf2_9ce48422, a.values(), |v| v.to_bits() as u64),
-    ];
-    fnv1a(shape, parts.into_iter())
+fn cache() -> &'static Mutex<ConvMap> {
+    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// Returns the cached conversion for `a`, converting (and inserting) on
-/// miss. The front tier is probed first on the material fingerprint alone:
-/// a verified front hit never computes [`matrix_key`] (three more full
-/// passes over the matrix), which is where the steady-state 2x comes from.
+/// miss.
 ///
 /// # Errors
 ///
 /// Propagates the converter's `u32` offset-overflow guard
 /// ([`DtcError::Format`]); nothing is cached on error.
 pub fn metcf_for(a: &CsrMatrix) -> Result<Arc<CachedConversion>, DtcError> {
-    let material = KeyMaterial::of(a);
-    let fp = material.fingerprint();
-    if let Some(hit) = cache().lock().unwrap().front.get(fp, &material) {
-        conversion_cache_hits().incr();
-        return Ok(hit);
-    }
-    lookup_or_convert_inner(matrix_key(a), a, material, fp)
+    lookup(a, &KeyMaterial::of(a))
 }
 
-/// The exact-tier core, keyed explicitly so tests can force primary-key
-/// collisions: a hit requires both the primary key *and* the stored
-/// [`KeyMaterial`] to match; a key match with foreign material counts a
-/// collision and converts fresh.
-#[cfg(test)]
-fn lookup_or_convert(key: u64, a: &CsrMatrix) -> Arc<CachedConversion> {
-    let material = KeyMaterial::of(a);
-    let fp = material.fingerprint();
-    lookup_or_convert_inner(key, a, material, fp).expect("test matrices stay within u32 bounds")
-}
-
-fn lookup_or_convert_inner(
-    key: u64,
+/// [`metcf_for`] for a caller that already holds `a`'s identity, so the
+/// matrix is keyed once per build rather than once per consumer.
+pub(crate) fn lookup(
     a: &CsrMatrix,
-    material: KeyMaterial,
-    fp: u64,
+    material: &KeyMaterial,
 ) -> Result<Arc<CachedConversion>, DtcError> {
-    {
-        let mut c = cache().lock().unwrap();
-        if let Some(bucket) = c.exact.get(&key) {
-            if let Some((_, hit)) = bucket.iter().find(|(m, _)| *m == material) {
-                conversion_cache_hits().incr();
-                let hit = Arc::clone(hit);
-                // Refill the front slot so the next lookup is one probe.
-                c.front.insert(fp, material, Arc::clone(&hit));
-                return Ok(hit);
-            }
-            conversion_cache_collisions().incr();
-        }
+    if let Some(hit) = cache().lock().expect("conversion cache lock poisoned").get(material) {
+        conversion_cache_hits().incr();
+        return Ok(Arc::clone(hit));
     }
     conversion_cache_misses().incr();
     // Convert outside the lock: conversion fans out over worker threads and
@@ -298,22 +212,16 @@ fn lookup_or_convert_inner(
         metcf: crate::convert::convert_to_metcf_parallel(a, dtc_par::num_threads())?,
         distinct_cols: dtc_baselines::util::distinct_col_count(a),
     });
-    let mut c = cache().lock().unwrap();
-    if c.exact.len() >= CACHE_CAP {
-        c.exact.clear();
-        c.front.clear();
+    let mut c = cache().lock().expect("conversion cache lock poisoned");
+    if c.len() >= CACHE_CAP {
+        c.clear();
     }
-    c.exact.entry(key).or_default().push((material.clone(), Arc::clone(&built)));
-    c.front.insert(fp, material, Arc::clone(&built));
+    c.insert(material.clone(), Arc::clone(&built));
     Ok(built)
 }
 
-/// Purges every cached conversion whose stored [`KeyMaterial`] equals
-/// `material`, from both tiers, returning the number of exact-tier entries
-/// removed. The front tier is purged **by key** ([`FrontTier::invalidate`]
-/// drops the slot only if the resident entry verifies against `material`)
-/// — purging by slot index would evict an innocent collision neighbor and,
-/// worse, leave a stale entry behind if the slot had been overwritten.
+/// Purges the cached conversion keyed by `material`, returning the number
+/// of entries removed (0 or 1).
 ///
 /// This is the conversion-cache arm of the delta-update invalidation
 /// contract: after [`crate::DtcSpmm::apply_delta`] mutates a matrix, a
@@ -322,55 +230,25 @@ pub fn invalidate_conversion(material: &KeyMaterial) -> usize {
     let Some(cache) = CACHE.get() else {
         return 0;
     };
-    let mut c = cache.lock().unwrap();
-    let mut removed = 0;
-    c.exact.retain(|_, bucket| {
-        let before = bucket.len();
-        bucket.retain(|(m, _)| m != material);
-        removed += before - bucket.len();
-        !bucket.is_empty()
-    });
-    c.front.invalidate(material.fingerprint(), material);
+    let removed = usize::from(
+        cache.lock().expect("conversion cache lock poisoned").remove(material).is_some(),
+    );
     if removed > 0 {
-        conversion_cache_invalidations().add(removed as u64);
+        conversion_cache_invalidations().incr();
     }
     removed
 }
 
-/// Seeds the cache with an already-built conversion for `a` (both tiers),
-/// e.g. the freshly patched ME-TCF a delta update produced. Sound because
-/// ME-TCF packing is a pure function of the CSR content and the delta path
-/// is bitwise-identical to a rebuild, so the seeded entry equals what a
-/// cold conversion of `a` would compute.
-pub fn admit_conversion(a: &CsrMatrix, conversion: Arc<CachedConversion>) {
-    let material = KeyMaterial::of(a);
-    let fp = material.fingerprint();
-    let key = matrix_key(a);
-    let mut c = cache().lock().unwrap();
-    if c.exact.len() >= CACHE_CAP {
-        c.exact.clear();
-        c.front.clear();
-    }
-    let bucket = c.exact.entry(key).or_default();
-    bucket.retain(|(m, _)| *m != material);
-    bucket.push((material.clone(), Arc::clone(&conversion)));
-    c.front.insert(fp, material, conversion);
-}
-
 /// `(hits, misses)` of the process-wide conversion cache — a thin wrapper
-/// over the `core.cache.conversion.*` registry counters. Each lookup is
-/// counted once whether the front or the exact tier resolved it, so this
-/// legacy reader needs no tier awareness.
+/// over the `core.cache.conversion.*` registry counters.
 pub fn conversion_cache_stats() -> (u64, u64) {
     (conversion_cache_hits().get(), conversion_cache_misses().get())
 }
 
-/// Empties both tiers (counters are left running; tests diff them instead).
+/// Empties the cache (counters are left running; tests diff them instead).
 pub fn clear_conversion_cache() {
     if let Some(cache) = CACHE.get() {
-        let mut c = cache.lock().unwrap();
-        c.exact.clear();
-        c.front.clear();
+        cache.lock().expect("conversion cache lock poisoned").clear();
     }
 }
 
@@ -379,8 +257,13 @@ mod tests {
     use super::*;
     use dtc_formats::gen::uniform;
 
+    /// Serializes the tests that diff the process-wide miss counter with
+    /// the one that converts on purpose, so neither sees the other's misses.
+    static MISS_COUNTING: Mutex<()> = Mutex::new(());
+
     #[test]
     fn same_matrix_hits_distinct_matrix_misses() {
+        let _serial = MISS_COUNTING.lock().unwrap_or_else(|e| e.into_inner());
         let a = uniform(128, 128, 900, 321);
         let first = metcf_for(&a).unwrap();
         let (_, misses0) = conversion_cache_stats();
@@ -397,14 +280,15 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_purges_both_tiers_and_admit_reseeds() {
+    fn invalidate_purges_the_entry() {
+        let _serial = MISS_COUNTING.lock().unwrap_or_else(|e| e.into_inner());
         let a = uniform(144, 144, 1000, 8181);
         let first = metcf_for(&a).unwrap();
         let material = KeyMaterial::of(&a);
 
         assert_eq!(invalidate_conversion(&material), 1);
         // Post-invalidation lookup must reconvert (a fresh Arc), not serve
-        // the purged entry from either tier.
+        // the purged entry.
         let (_, misses0) = conversion_cache_stats();
         let again = metcf_for(&a).unwrap();
         assert!(!Arc::ptr_eq(&first, &again), "invalidated entry must not be served");
@@ -413,19 +297,6 @@ mod tests {
 
         // Invalidating a non-resident identity is a no-op.
         assert_eq!(invalidate_conversion(&KeyMaterial::of(&uniform(32, 32, 60, 9))), 0);
-
-        // Seeding an externally built conversion makes the next lookup hit
-        // without converting.
-        invalidate_conversion(&material);
-        let seeded = Arc::new(CachedConversion {
-            metcf: MeTcfMatrix::from_csr(&a),
-            distinct_cols: dtc_baselines::util::distinct_col_count(&a),
-        });
-        admit_conversion(&a, Arc::clone(&seeded));
-        let (_, misses2) = conversion_cache_stats();
-        let hit = metcf_for(&a).unwrap();
-        assert!(Arc::ptr_eq(&hit, &seeded), "admitted conversion must be served");
-        assert_eq!(conversion_cache_stats().1, misses2, "admitted entry must not reconvert");
     }
 
     #[test]
@@ -456,8 +327,8 @@ mod tests {
     fn key_depends_on_values_not_just_shape() {
         let a = CsrMatrix::from_triplets(4, 4, &[(0, 1, 1.0), (2, 3, 2.0)]).unwrap();
         let b = CsrMatrix::from_triplets(4, 4, &[(0, 1, 1.0), (2, 3, 2.5)]).unwrap();
-        assert_ne!(matrix_key(&a), matrix_key(&b));
-        assert_eq!(matrix_key(&a), matrix_key(&a.clone()));
+        assert_ne!(KeyMaterial::of(&a), KeyMaterial::of(&b));
+        assert_eq!(KeyMaterial::of(&a), KeyMaterial::of(&a.clone()));
     }
 
     #[test]
@@ -469,60 +340,28 @@ mod tests {
     }
 
     #[test]
-    fn crafted_collision_is_detected_not_served() {
-        // Two different matrices forced onto the SAME primary key: before
-        // hit verification, the second lookup silently returned the first
-        // matrix's conversion. Now the material mismatch is detected,
-        // counted, and both conversions coexist in the bucket.
+    fn material_differing_in_one_field_misses() {
+        let _serial = MISS_COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+        // A hit needs the whole identity to match: a key that agrees with
+        // a resident one everywhere but one field must convert fresh, not
+        // serve the resident conversion.
         let a = uniform(96, 96, 500, 77);
-        let b = uniform(64, 64, 300, 78);
-        let forced_key = 0xC011_1DED_C011_1DED;
-        let collisions_before = conversion_cache_collisions().get();
-        let conv_a = lookup_or_convert(forced_key, &a);
-        let conv_b = lookup_or_convert(forced_key, &b);
-        assert_eq!(conv_a.metcf.rows(), 96);
-        assert_eq!(conv_b.metcf.rows(), 64, "collision must not serve a's conversion");
-        assert_eq!(conversion_cache_collisions().get(), collisions_before + 1);
-        // Both entries now hit without further collisions or conversions.
-        let (_, misses0) = conversion_cache_stats();
-        assert!(Arc::ptr_eq(&conv_a, &lookup_or_convert(forced_key, &a)));
-        assert!(Arc::ptr_eq(&conv_b, &lookup_or_convert(forced_key, &b)));
-        let (_, misses1) = conversion_cache_stats();
-        assert_eq!(misses1, misses0);
-        assert_eq!(conversion_cache_collisions().get(), collisions_before + 1);
-    }
-
-    #[test]
-    fn front_tier_resolves_repeats_to_the_same_arc() {
-        // Second lookup must resolve in the front tier — observable via the
-        // l1 hit counter — and hand back the exact tier's Arc (bitwise
-        // identity is Arc identity here).
-        let a = uniform(112, 112, 800, 4242);
-        let first = metcf_for(&a).unwrap();
-        let l1_hits = dtc_telemetry::counter("cache.conversion.l1_hits");
-        let before = l1_hits.get();
-        let again = metcf_for(&a).unwrap();
-        assert!(Arc::ptr_eq(&first, &again));
-        assert!(l1_hits.get() > before, "repeat lookup must hit the front tier");
-    }
-
-    #[test]
-    fn exact_only_mode_is_bitwise_identical() {
-        // The same lookups with the front tier disabled must resolve to
-        // the very same cached conversion (Arc identity), at 1 and 4
-        // worker threads (checksums are DTC_THREADS-invariant).
-        let a = uniform(104, 104, 700, 5150);
-        for threads in [1usize, 4] {
-            dtc_par::set_threads(Some(threads));
-            let two_tier = metcf_for(&a).unwrap();
-            dtc_par::set_front_tier_enabled(false);
-            let exact_only = metcf_for(&a).unwrap();
-            dtc_par::set_front_tier_enabled(true);
-            assert!(
-                Arc::ptr_eq(&two_tier, &exact_only),
-                "exact-only and two-tier lookups must agree (threads={threads})"
-            );
+        let resident = metcf_for(&a).unwrap();
+        let m = KeyMaterial::of(&a);
+        let variants = [
+            KeyMaterial { rows: m.rows + 1, ..m.clone() },
+            KeyMaterial { cols: m.cols + 1, ..m.clone() },
+            KeyMaterial { nnz: m.nnz + 1, ..m.clone() },
+            KeyMaterial { row_ptr_sum: m.row_ptr_sum ^ 1, ..m.clone() },
+            KeyMaterial { col_idx_sum: m.col_idx_sum ^ 1, ..m.clone() },
+            KeyMaterial { value_sum: m.value_sum ^ 1, ..m.clone() },
+        ];
+        for v in &variants {
+            let got = lookup(&a, v).unwrap();
+            assert!(!Arc::ptr_eq(&got, &resident), "{v:?} was served the resident conversion");
+            // The miss stored `a`'s conversion under the forged identity;
+            // purge it so no later lookup can meet it.
+            assert_eq!(invalidate_conversion(v), 1);
         }
-        dtc_par::set_threads(None);
     }
 }

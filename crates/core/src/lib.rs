@@ -55,8 +55,7 @@ mod session;
 mod telemetry;
 
 pub use cache::{
-    admit_conversion, clear_conversion_cache, conversion_cache_stats, invalidate_conversion,
-    KeyMaterial,
+    clear_conversion_cache, conversion_cache_stats, invalidate_conversion, KeyMaterial,
 };
 pub use config::EngineConfig;
 pub use engine::{prepare, EngineKind};

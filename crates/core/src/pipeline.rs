@@ -14,6 +14,7 @@ use dtc_formats::{
 };
 use dtc_reorder::{Reorderer, TcaReorderer};
 use dtc_sim::{Device, KernelTrace};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -135,15 +136,15 @@ impl DtcSpmmBuilder {
             if self.config.reorder {
                 let perm = self.reorderer.reorder(a);
                 let m = a.permute_rows(&perm);
-                (Some(perm), m)
+                (Some(perm), Cow::Owned(m))
             } else {
-                (None, a.clone())
+                (None, Cow::Borrowed(a))
             }
         };
         let working_key = if perm.is_some() { KeyMaterial::of(&working) } else { key.clone() };
         let converted = {
             let _phase = dtc_telemetry::span("convert");
-            crate::cache::metcf_for(&working)?
+            crate::cache::lookup(&working, &working_key)?
         };
         let metcf = converted.metcf.clone();
         let distinct = converted.distinct_cols;
@@ -325,13 +326,13 @@ impl DtcSpmm {
     ///
     /// Invalidation contract: before the engine mutates, every process-wide
     /// cache entry derived from the pre-edit matrix is retired —
-    /// conversion-cache entries (front tier purged **by key**, exact tier
-    /// by stored material) under both the original and working identities,
-    /// and this engine's whole trace cache (its keys carry no matrix
-    /// identity, so every memoized trace and the duration classes interned
-    /// inside them are stale). The cache is purged, **not** re-seeded: a
-    /// post-edit lookup either misses (and reconverts) or was admitted
-    /// after the edit — it can never serve a pre-edit artifact.
+    /// conversion-cache entries, purged by key, under both the original and
+    /// working identities, and this engine's whole trace cache (its keys
+    /// carry no matrix identity, so every memoized trace and the duration
+    /// classes interned inside them are stale). The cache is purged,
+    /// **not** re-seeded: a post-edit lookup either misses (and reconverts)
+    /// or was admitted after the edit — it can never serve a pre-edit
+    /// artifact.
     ///
     /// # Errors
     ///

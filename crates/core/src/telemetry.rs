@@ -8,7 +8,6 @@
 //! |---|---|
 //! | `core.pipeline.builds` | engines assembled via [`crate::DtcSpmmBuilder::build`] |
 //! | `core.cache.conversion.hits` / `.misses` | process-wide ME-TCF conversion cache |
-//! | `core.cache.conversion.collisions` | primary-key collisions caught by hit verification |
 //! | `core.cache.conversion.invalidations` | conversion entries purged by key after a delta update |
 //! | `core.cache.trace.hits` / `.misses` | per-engine memoized kernel traces |
 //! | `core.cache.trace.invalidations` | per-engine trace caches dropped wholesale by a delta update |
@@ -42,12 +41,6 @@ cached_counter!(
     /// ME-TCF conversion cache misses (each one paid a conversion).
     conversion_cache_misses,
     "core.cache.conversion.misses"
-);
-cached_counter!(
-    /// Primary-key collisions detected (and survived) by the ME-TCF
-    /// conversion cache: a 64-bit hash matched but the key material did not.
-    conversion_cache_collisions,
-    "core.cache.conversion.collisions"
 );
 cached_counter!(
     /// Per-engine trace-cache hits (a `simulate` that re-lowered nothing).

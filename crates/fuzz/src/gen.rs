@@ -251,11 +251,11 @@ fn gen_special_values(rng: &mut StdRng) -> CsrMatrix {
 
 /// Near-duplicates of one sweep-wide base matrix: same shape and sparsity
 /// structure, with at most one stored value changed by a single bit or a
-/// sign flip. Every case of the family shares its conversion-cache front
-/// slot with the others, so a front tier that verified anything less than
-/// the full key material would cross-serve stale conversions. The base is
-/// derived from the *master* seed (not the case seed) so consecutive cases
-/// of the family really do collide.
+/// sign flip. Cases of the family share every identity field but the
+/// value checksum, so a cache keyed on anything less than the full key
+/// material would cross-serve stale conversions. The base is derived from
+/// the *master* seed (not the case seed) so consecutive cases of the family
+/// really are near-duplicates of one another.
 fn gen_near_dup_cache(rng: &mut StdRng, master_seed: u64) -> CsrMatrix {
     let base = dtc_formats::gen::uniform(80, 80, 640, master_seed ^ 0x5EED_CACE);
     let mut triplets: Vec<(usize, usize, f32)> = base.iter().collect();

@@ -3,7 +3,7 @@
 //! Every keyed structure in the stack — the ME-TCF conversion cache, the
 //! engine-pool primary hash, `EngineConfig`/`Device` fingerprints, the
 //! duration-class interning key, the LSH band buckets — hashes with FNV-1a
-//! over 64-bit words (or single bytes widened to words). Before this module
+//! over 64-bit words. Before this module
 //! each crate carried its own copy of the same two constants and fold loop;
 //! now they all share one, and the digests they persist as cache keys are
 //! pinned byte-identical by the `hash_pins` test in `dtc-core`.
@@ -25,12 +25,8 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// The FNV-1a 64-bit prime.
 pub const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// Incremental FNV-1a over 64-bit words.
-///
-/// `word` is one xor-multiply fold step; `word_bytes` folds the eight
-/// little-endian bytes of a word individually (the byte-granular mixing
-/// the interning key uses — better diffusion for streams of small-magnitude
-/// float bit patterns).
+/// Incremental FNV-1a over 64-bit words: `word` is one xor-multiply fold
+/// step.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 
@@ -50,14 +46,6 @@ impl Fnv1a {
     pub fn word(&mut self, x: u64) {
         self.0 ^= x;
         self.0 = self.0.wrapping_mul(FNV_PRIME);
-    }
-
-    /// Folds the eight little-endian bytes of `x`, one fold step per byte.
-    #[inline]
-    pub fn word_bytes(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.word(b as u64);
-        }
     }
 
     /// The digest so far.
@@ -125,13 +113,6 @@ mod tests {
             let xs = [0u64, 1, u64::MAX, 0xdead_beef, 7];
             assert_eq!(fnv1a(seed, xs.iter().copied()), reference(seed, &xs));
         }
-    }
-
-    #[test]
-    fn byte_granular_fold_matches_golden() {
-        let mut h = Fnv1a::new();
-        h.word_bytes(0x0123_4567_89ab_cdef);
-        assert_eq!(h.finish(), 0xf0dc_8333_4776_1c55);
     }
 
     #[test]

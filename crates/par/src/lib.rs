@@ -53,12 +53,10 @@
 #![forbid(unsafe_code)]
 
 mod arena;
-pub mod cache;
 pub mod hash;
 pub mod replay;
 
 pub use arena::{with_arena, ScratchArena};
-pub use cache::{front_tier_enabled, set_front_tier_enabled, FrontTier};
 pub use replay::{replay_assignments, Replay};
 
 use std::cell::Cell;

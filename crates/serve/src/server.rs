@@ -289,12 +289,11 @@ impl SpmmServer {
     /// [`dtc_core::DtcSpmm::apply_delta`] or by re-submitting new
     /// triplets). Returns the number of pooled engines dropped.
     ///
-    /// Two layers are purged, each by key so colliding residents survive:
+    /// Two layers are purged, each by key so unrelated residents survive:
     /// the engine pool (every family/device/config slot whose
     /// [`KeyMaterial`] matches) and the process-wide ME-TCF conversion
-    /// cache in `dtc-core` (exact bucket and lossy front tier). Queued
-    /// requests are untouched: they carry their own
-    /// `Arc<CsrMatrix>` snapshot, and a request admitted after the edit
+    /// cache in `dtc-core`. Queued requests are untouched: they carry their
+    /// own `Arc<CsrMatrix>` snapshot, and a request admitted after the edit
     /// carries post-edit key material, so it can never resolve to a
     /// pre-edit engine once this returns.
     pub fn invalidate_matrix(&self, material: &KeyMaterial) -> usize {

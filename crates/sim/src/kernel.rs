@@ -12,9 +12,9 @@
 
 use crate::occupancy::KernelResources;
 use crate::stream::SectorStream;
-use dtc_par::hash::{fnv1a, Fnv1a};
-use dtc_par::FrontTier;
+use dtc_par::hash::fnv1a;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// The per-thread-block work descriptor a kernel implementation lowers to.
 ///
@@ -97,65 +97,43 @@ impl TbWork {
     }
 }
 
-/// FNV-1a over the duration-determining fields of a [`TbWork`] — every
-/// field except the sector stream, compared bit-for-bit (`f64::to_bits`)
-/// so interning never conflates values that would time differently.
-fn work_key(tb: &TbWork) -> u64 {
-    let mut h = Fnv1a::new();
-    for v in work_fields(tb) {
-        h.word_bytes(v.to_bits());
-    }
-    h.word_bytes(tb.overlap_a_fetch as u64);
-    h.finish()
-}
-
-/// The twelve numeric work fields, in a fixed order, for hashing/equality.
-fn work_fields(tb: &TbWork) -> [f64; 12] {
-    tb.numeric_fields().map(|(_, v)| v)
-}
-
-/// Bitwise equality of the duration-determining fields.
-fn work_eq(a: &TbWork, b: &TbWork) -> bool {
-    a.overlap_a_fetch == b.overlap_a_fetch
-        && work_fields(a).iter().zip(work_fields(b).iter()).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// The duration class identity as 13 plain words (12 field bit patterns +
-/// the overlap flag). Derived `PartialEq` on the words is exactly
-/// [`work_eq`] on the source blocks, so a front-tier hit verified by this
-/// key can never conflate two blocks that would time differently.
+/// The duration class identity as 13 plain words: the bit patterns
+/// (`f64::to_bits`) of every duration-determining field — everything but
+/// the sector stream — plus the overlap flag. Derived `Eq` on the words is
+/// exact class identity, so interning never conflates values that would
+/// time differently (`0.0` and `-0.0` are two classes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct WorkClassKey([u64; 13]);
 
 impl WorkClassKey {
     fn of(tb: &TbWork) -> Self {
         let mut w = [0u64; 13];
-        for (slot, v) in w.iter_mut().zip(work_fields(tb)) {
+        for (slot, (_, v)) in w.iter_mut().zip(tb.numeric_fields()) {
             *slot = v.to_bits();
         }
         w[12] = tb.overlap_a_fetch as u64;
         WorkClassKey(w)
     }
 
-    /// Cheap word-wise front hash: 13 fold steps, versus the 104 byte-wise
-    /// steps of the exact-tier [`work_key`]. Lossier mixing is fine here —
-    /// a bad slot spread only costs front misses, never wrong classes.
+    /// Word-wise FNV-1a digest: 13 fold steps.
     ///
     /// Each word is pre-folded with `x ^ (x >> 32)` first: the words are
     /// `f64` bit patterns of small counts, whose entropy sits in the
     /// exponent and high mantissa bits, and FNV's multiply only carries
-    /// entropy upward — without the fold every class would land in the
-    /// same low-bits slot.
-    fn front_hash(&self) -> u64 {
+    /// entropy upward — without the fold every class's digest would share
+    /// its low 32 bits.
+    fn digest(&self) -> u64 {
         fnv1a(dtc_par::hash::FNV_OFFSET, self.0.iter().map(|&x| x ^ (x >> 32)))
     }
 }
 
-/// Front-tier slots per trace. Real lowerings produce tens of distinct
-/// classes, so 128 direct-mapped slots hold the working set; the slab
-/// stays small (~14 KiB) so cloning a trace — the trace-cache hit path —
-/// stays cheap.
-const INTERN_FRONT_SLOTS: usize = 128;
+/// Feeds the map one word, the [`WorkClassKey::digest`], rather than 13:
+/// equality still compares every word.
+impl Hash for WorkClassKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest());
+    }
+}
 
 static EMPTY_STREAM: SectorStream = SectorStream::new();
 
@@ -170,12 +148,8 @@ pub struct KernelTrace {
     class_ids: Vec<u32>,
     /// Per-block B-sector streams; empty vector when no block recorded any.
     streams: Vec<SectorStream>,
-    /// Work-field hash → candidate class indices (collision bucket).
-    index: HashMap<u64, Vec<u32>>,
-    /// Lossy front tier over the interning table: last class seen per
-    /// direct-mapped slot, verified by full [`WorkClassKey`] equality. A
-    /// hit skips the byte-granular [`work_key`] and the bucket scan.
-    front: FrontTier<WorkClassKey, u32>,
+    /// Class identity → index into `classes`.
+    index: HashMap<WorkClassKey, u32>,
     /// When false, `push` appends a fresh class per block (the legacy
     /// uncompressed layout, kept for benchmarking and equivalence tests).
     interning: bool,
@@ -209,7 +183,6 @@ impl KernelTrace {
             class_ids: Vec::new(),
             streams: Vec::new(),
             index: HashMap::new(),
-            front: FrontTier::new("intern", INTERN_FRONT_SLOTS),
             interning: true,
             occupancy,
             warps_per_tb,
@@ -266,24 +239,11 @@ impl KernelTrace {
     }
 
     fn intern(&mut self, tb: TbWork) -> u32 {
-        let class_key = WorkClassKey::of(&tb);
-        let front_hash = class_key.front_hash();
-        if let Some(c) = self.front.get(front_hash, &class_key) {
-            return c;
+        let next = self.classes.len() as u32;
+        let c = *self.index.entry(WorkClassKey::of(&tb)).or_insert(next);
+        if c == next {
+            self.classes.push(tb);
         }
-        let key = work_key(&tb);
-        if let Some(bucket) = self.index.get(&key) {
-            for &c in bucket {
-                if work_eq(&self.classes[c as usize], &tb) {
-                    self.front.insert(front_hash, class_key, c);
-                    return c;
-                }
-            }
-        }
-        let c = self.classes.len() as u32;
-        self.classes.push(tb);
-        self.index.entry(key).or_default().push(c);
-        self.front.insert(front_hash, class_key, c);
         c
     }
 
@@ -427,6 +387,8 @@ mod tests {
             TbWork { atom_ops: 1.0, ..base.clone() },
             TbWork { iters: 3.0, ..base.clone() },
             TbWork { overlap_a_fetch: true, ..base.clone() },
+            // Equal as `f64` to the base's `0.0`, but bit-distinct.
+            TbWork { fp_ops: -0.0, ..base.clone() },
         ];
         let mut t = KernelTrace::new(6, 8);
         t.push(base);
