@@ -257,48 +257,6 @@ mod tests {
     use super::*;
     use dtc_formats::gen::uniform;
 
-    /// Serializes the tests that diff the process-wide miss counter with
-    /// the one that converts on purpose, so neither sees the other's misses.
-    static MISS_COUNTING: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn same_matrix_hits_distinct_matrix_misses() {
-        let _serial = MISS_COUNTING.lock().unwrap_or_else(|e| e.into_inner());
-        let a = uniform(128, 128, 900, 321);
-        let first = metcf_for(&a).unwrap();
-        let (_, misses0) = conversion_cache_stats();
-        let again = metcf_for(&a).unwrap();
-        assert!(Arc::ptr_eq(&first, &again), "expected the cached Arc back");
-        let (_, misses1) = conversion_cache_stats();
-        assert_eq!(misses1, misses0, "second lookup must not convert");
-
-        let b = uniform(128, 128, 900, 322); // same shape, different structure
-        let other = metcf_for(&b).unwrap();
-        assert!(!Arc::ptr_eq(&first, &other));
-        let (_, misses2) = conversion_cache_stats();
-        assert_eq!(misses2, misses1 + 1);
-    }
-
-    #[test]
-    fn invalidate_purges_the_entry() {
-        let _serial = MISS_COUNTING.lock().unwrap_or_else(|e| e.into_inner());
-        let a = uniform(144, 144, 1000, 8181);
-        let first = metcf_for(&a).unwrap();
-        let material = KeyMaterial::of(&a);
-
-        assert_eq!(invalidate_conversion(&material), 1);
-        // Post-invalidation lookup must reconvert (a fresh Arc), not serve
-        // the purged entry.
-        let (_, misses0) = conversion_cache_stats();
-        let again = metcf_for(&a).unwrap();
-        assert!(!Arc::ptr_eq(&first, &again), "invalidated entry must not be served");
-        let (_, misses1) = conversion_cache_stats();
-        assert_eq!(misses1, misses0 + 1);
-
-        // Invalidating a non-resident identity is a no-op.
-        assert_eq!(invalidate_conversion(&KeyMaterial::of(&uniform(32, 32, 60, 9))), 0);
-    }
-
     #[test]
     fn of_metcf_matches_of_over_the_roundtripped_csr() {
         // The delta path keys a patched ME-TCF with `of_metcf` while every
@@ -341,7 +299,6 @@ mod tests {
 
     #[test]
     fn material_differing_in_one_field_misses() {
-        let _serial = MISS_COUNTING.lock().unwrap_or_else(|e| e.into_inner());
         // A hit needs the whole identity to match: a key that agrees with
         // a resident one everywhere but one field must convert fresh, not
         // serve the resident conversion.

@@ -18,8 +18,11 @@
 //!   SpMM (column concatenation is bitwise-exact for every kernel in the
 //!   workspace). With [`ServeConfig::verify`] set, each batch replays
 //!   the dtc-verify lints over the engine's lowered trace first.
-//! - [`loadgen`] — a deterministic virtual-clock closed-loop load
-//!   generator; `serve_bench` drives it to produce `BENCH_serve.json`.
+//!
+//! The layer's host wall time is measured by the repository benchmark
+//! (`perfbench/`): its `serve_hot` and `serve_churn` workloads drive a
+//! server with virtual-clock open-loop arrivals and check every response
+//! against a direct `prepare(..).execute(..)`.
 //!
 //! Telemetry: `serve.requests.{admitted,coalesced,rejected}`,
 //! `serve.pool.{hits,misses,evictions}` counters plus `serve.batch` /
@@ -51,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod loadgen;
 mod pool;
 mod server;
 mod telemetry;

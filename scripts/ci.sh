@@ -6,6 +6,13 @@
 # compares cold, near-duplicate and warm lookups with a direct conversion)
 # and by `cargo test`; that a one-field identity difference misses is
 # pinned by `material_differing_in_one_field_misses` in dtc-core.
+#
+# The serving layer is gated by a short traced perfbench `serve_hot` run,
+# the replacement for the retired serving smoke bin: perfbench checks
+# every response against a direct `prepare(..).execute(..)` and exits 1
+# on a mismatch, exits 2 on a metric that is not finite or not measured,
+# and the awk filter fails the step when `serve.pool.hit_ratio` is
+# missing or below 0.9.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,8 +43,14 @@ cargo run --release -q -p dtc-bench --bin tracelint -- --smoke
 echo "== fuzz --smoke"
 cargo run --release -q -p dtc-bench --bin fuzz -- --smoke
 
-echo "== serve_bench --smoke (bitwise conformance; pool hit-rate gate 90%)"
-cargo run --release -q -p dtc-bench --bin serve_bench -- --smoke
+echo "== perfbench serve_hot --trace 1 (served-vs-direct bitwise gate; pool hit-ratio floor 0.9)"
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_hot --seed 1 --seconds 2 --trace 1 \
+    | awk '{ print }
+           $1 == "metric" && $2 == "serve.pool.hit_ratio" { r = $3 }
+           END { if (r !~ /^[0-9.]+$/ || r + 0 < 0.9) {
+                     print "serve.pool.hit_ratio is " (r == "" ? "missing" : r) "; floor 0.9"
+                     exit 1 } }'
 
 echo "== schedcheck --smoke (schedule-space model check; lock-order audit)"
 cargo run --release -q -p dtc-bench --bin schedcheck -- --smoke

@@ -3,13 +3,14 @@
 //! conformance of the served path against direct engine execution.
 //!
 //! The conversion cache and the telemetry registry are process-wide, so
-//! tests that measure their counters serialize on one mutex.
+//! every test that converts a matrix (prepares a DTC engine) serializes on
+//! one mutex with the test that diffs the conversion-miss counter.
 
 use dtc_spmm::baselines::{CusparseSpmm, SpmmEngine, SputnikSpmm, TcgnnSpmm};
 use dtc_spmm::core::{
     conversion_cache_stats, prepare, DtcError, DtcSpmm, EngineConfig, EngineKind, KeyMaterial,
 };
-use dtc_spmm::formats::{gen, CsrMatrix, DenseMatrix};
+use dtc_spmm::formats::{gen, CsrMatrix, DenseMatrix, FormatError};
 use dtc_spmm::serve::{EnginePool, PoolConfig, PoolKey, Request, ServeConfig, SpmmServer};
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -17,6 +18,10 @@ static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 fn dense_for(a: &CsrMatrix, n: usize, salt: usize) -> DenseMatrix {
     DenseMatrix::from_fn(a.cols(), n, |r, c| ((r * 13 + c * 5 + salt) % 23) as f32 - 11.0)
+}
+
+fn bits(m: &DenseMatrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 /// A thundering herd of same-key requests must coalesce into exactly one
@@ -149,6 +154,7 @@ fn concrete(kind: EngineKind, config: &EngineConfig, a: &CsrMatrix) -> Box<dyn S
 /// not perturb results, names or simulated times.
 #[test]
 fn trait_dispatch_is_bitwise_identical() {
+    let _serial = COUNTER_LOCK.lock().unwrap();
     let a = gen::power_law(128, 128, 7.0, 2.3, 0x7777);
     let b = dense_for(&a, 16, 9);
     let config = EngineConfig::default();
@@ -157,7 +163,6 @@ fn trait_dispatch_is_bitwise_identical() {
         let direct = concrete(kind, &config, &a);
         let via_trait = engine.execute(&b).expect("trait execute failed");
         let want = direct.execute(&b).unwrap();
-        let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&via_trait), bits(&want), "{kind:?} differs from direct");
         assert_eq!(engine.name(), direct.name(), "{kind:?}");
         assert_eq!((engine.rows(), engine.cols()), (a.rows(), a.cols()));
@@ -215,6 +220,48 @@ fn batched_serving_is_bitwise_equal_at_any_thread_count() {
     dtc_spmm::par::set_threads(None);
 }
 
+/// A batch that fails consumes only the requests sharing its key: the
+/// requests queued behind it for other keys stay queued and are then
+/// served as if the failure had not happened.
+#[test]
+fn failed_batch_consumes_only_its_own_key() {
+    let _serial = COUNTER_LOCK.lock().unwrap();
+    // TCGNN's prepare refuses non-square input, so every TCGNN batch fails.
+    let refused = Arc::new(gen::uniform(64, 32, 200, 77));
+    let a = Arc::new(gen::uniform(64, 64, 400, 0x600D));
+    let config = EngineConfig::default();
+    let server = SpmmServer::new(ServeConfig::default());
+    let req = |kind: EngineKind, m: &Arc<CsrMatrix>, salt: usize| Request {
+        tenant: salt,
+        kind,
+        config: config.clone(),
+        matrix: Arc::clone(m),
+        b: dense_for(m, 4, salt),
+    };
+    let mut dtc = Vec::new();
+    for i in 0..3 {
+        server.admit(req(EngineKind::Tcgnn, &refused, i)).unwrap();
+        let salt = 10 + i;
+        dtc.push((server.admit(req(EngineKind::Dtc, &a, salt)).unwrap(), salt));
+    }
+
+    match server.serve_next_batch() {
+        Some(Err(DtcError::Format(FormatError::NotSupported(_)))) => {}
+        other => panic!("expected the TCGNN batch to fail at prepare, got {other:?}"),
+    }
+    assert_eq!(server.queued(), dtc.len(), "the failed batch must consume only its own key");
+
+    let outcome = server.serve_next_batch().expect("DTC requests queued").expect("DTC batch");
+    assert_eq!(outcome.batch_size, dtc.len(), "the DTC requests must coalesce");
+    assert_eq!(server.queued(), 0);
+    let direct = prepare(EngineKind::Dtc, &config, &a).unwrap();
+    for (resp, &(seq, salt)) in outcome.responses.iter().zip(&dtc) {
+        assert_eq!(resp.seq, seq);
+        let want = direct.execute(&dense_for(&a, 4, salt)).unwrap();
+        assert_eq!(bits(&resp.c), bits(&want), "served result differs from direct (seq {seq})");
+    }
+}
+
 /// Admission control: a full queue rejects with `DtcError::Admission` and
 /// a malformed operand never reaches the pool.
 #[test]
@@ -250,13 +297,31 @@ fn admission_rejects_overflow_and_malformed_requests() {
     assert_eq!(server.queued(), 2);
 }
 
+/// Asserts `result` is the verifier's rejection of a zeroed Tensor-Core
+/// cost table.
+fn assert_cost_table_rejected<T: std::fmt::Debug>(result: Result<T, DtcError>) {
+    match result {
+        Err(DtcError::Verify { kernel, diagnostic, errors }) => {
+            assert!(errors >= 1);
+            assert!(
+                diagnostic.contains("cost-table-coverage"),
+                "expected the cost-table lint, got: {diagnostic} (kernel {kernel})"
+            );
+        }
+        other => panic!("expected DtcError::Verify, got {other:?}"),
+    }
+}
+
 /// Admission-time static verification: an engine prepared against a
 /// deliberately broken device model (zeroed Tensor-Core cost table) must
 /// be rejected with `DtcError::Verify` at prepare time — before the first
 /// execute — and the failed prepare must not occupy a pool slot. Fixing
-/// the configuration then succeeds under the (different) pool key.
+/// the configuration then succeeds under the (different) pool key. With
+/// admission verification off, the per-batch gate (`ServeConfig::verify`)
+/// rejects the same engine before it executes.
 #[test]
 fn admission_verification_rejects_crafted_illegal_engine() {
+    let _serial = COUNTER_LOCK.lock().unwrap();
     let a = Arc::new(gen::uniform(64, 64, 400, 0xBAD));
     let mut broken = EngineConfig::default();
     broken.device.tc_hmma_per_cycle = 0.0; // cost-table coverage violation
@@ -268,16 +333,7 @@ fn admission_verification_rejects_crafted_illegal_engine() {
         matrix: Arc::clone(&a),
         b: dense_for(&a, 4, 3),
     };
-    match server.serve_one(req(&broken)) {
-        Err(DtcError::Verify { kernel, diagnostic, errors }) => {
-            assert!(errors >= 1);
-            assert!(
-                diagnostic.contains("cost-table-coverage"),
-                "expected the cost-table lint, got: {diagnostic} (kernel {kernel})"
-            );
-        }
-        other => panic!("expected DtcError::Verify at admission, got {other:?}"),
-    }
+    assert_cost_table_rejected(server.serve_one(req(&broken)));
     assert_eq!(server.pool().len(), 0, "rejected engine must not be cached");
 
     // The same request under a sound device is served normally.
@@ -290,4 +346,15 @@ fn admission_verification_rejects_crafted_illegal_engine() {
     // or execution would catch it later.
     let lax = SpmmServer::new(ServeConfig { admission_verify: false, ..ServeConfig::default() });
     lax.serve_one(req(&broken)).expect("without the gate the prepare goes through");
+
+    // The per-batch gate catches what the lax prepare let through: the
+    // engine is pooled, but no batch executes on it.
+    let gated = SpmmServer::new(ServeConfig {
+        admission_verify: false,
+        verify: true,
+        ..ServeConfig::default()
+    });
+    assert_cost_table_rejected(gated.serve_one(req(&broken)));
+    assert_eq!(gated.pool().len(), 1, "the unverified engine was prepared and pooled");
+    gated.serve_one(req(&EngineConfig::default())).expect("a sound engine passes the batch gate");
 }
