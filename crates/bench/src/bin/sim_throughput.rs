@@ -75,13 +75,7 @@ fn main() {
     // Interned (default) and legacy (one class per block) variants of the
     // same launch. Streams are recorded once, on the trace used for L2.
     let interned = synthetic_trace(blocks, shapes, true);
-    let mut legacy = KernelTrace::new(interned.occupancy, interned.warps_per_tb);
-    legacy.set_interning(false);
-    for i in 0..interned.num_tbs() {
-        let mut tb = interned.tb(i).clone();
-        tb.b_stream = interned.stream(i).clone();
-        legacy.push(tb);
-    }
+    let legacy = interned.expanded();
     let sectors: usize = (0..interned.num_tbs()).map(|i| interned.stream(i).len()).sum();
     eprintln!(
         "sim_throughput: {blocks} blocks, {} classes, {sectors} recorded sectors{}",

@@ -22,8 +22,7 @@ use dtc_verify::LockGraph;
 ///
 /// | class | site | discipline |
 /// |---|---|---|
-/// | `serve.queue` | `serve/src/server.rs` `SpmmServer::queue` | admission queue |
-/// | `serve.seq` | `serve/src/server.rs` `SpmmServer::next_seq` | ticket counter, leaf |
+/// | `serve.queue` | `serve/src/server.rs` `SpmmServer::queue` | admission queue, leaf |
 /// | `serve.pool.inner` | `serve/src/pool.rs` `EnginePool::inner` | slot map, held only for map ops |
 /// | `serve.prepare` | `serve/src/pool.rs` `EngineCell` | `OnceLock` engine build (blocks same-key waiters) |
 /// | `core.conversion_cache` | `core/src/cache.rs` `CACHE` | released before parallel conversion |
@@ -34,8 +33,6 @@ use dtc_verify::LockGraph;
 ///
 /// Edges (acquired-while-holding):
 ///
-/// - `serve.queue -> serve.seq`: `SpmmServer::admit` takes the ticket
-///   under the queue lock so admission order and sequence numbers agree.
 /// - `serve.prepare -> core.conversion_cache`: the engine build inside
 ///   `OnceLock::get_or_init` probes/fills the conversion cache.
 /// - `serve.prepare -> par.band_deque`: the build's parallel conversion
@@ -53,7 +50,6 @@ use dtc_verify::LockGraph;
 pub fn workspace_lock_graph() -> LockGraph {
     let mut g = LockGraph::new();
     let queue = g.class("serve.queue", "admission queue (SpmmServer::queue)");
-    let seq = g.class("serve.seq", "request ticket counter (SpmmServer::next_seq)");
     let pool = g.class("serve.pool.inner", "engine pool slot map (EnginePool::inner)");
     let prepare = g.class("serve.prepare", "OnceLock engine build (EngineCell)");
     let conv = g.class("core.conversion_cache", "METCF conversion cache (cache.rs CACHE)");
@@ -61,11 +57,12 @@ pub fn workspace_lock_graph() -> LockGraph {
     let deque = g.class("par.band_deque", "worker band deques (run_threads queues)");
     let arena = g.class("par.arena_slot", "pooled scratch arenas (try_lock only)");
     let registry = g.class("telemetry.registry", "metric registry BTreeMaps");
-    // serve.pool.inner and core.trace_cache are leaves: the pool drops its
-    // lock before the engine build starts (coalescing via the OnceLock),
-    // and the trace memo wraps a pure lowering.
-    let _ = (pool, trace);
-    g.edge(queue, seq, "serve/src/server.rs::admit");
+    // serve.queue, serve.pool.inner and core.trace_cache are leaves: the
+    // queue lock guards only the deque (sequence numbers are an atomic
+    // bumped under it), the pool drops its lock before the engine build
+    // starts (coalescing via the OnceLock), and the trace memo wraps a
+    // pure lowering.
+    let _ = (queue, pool, trace);
     g.edge(prepare, conv, "serve/src/pool.rs::get_or_prepare (engine build)");
     g.edge(prepare, deque, "core/src/cache.rs::convert_to_metcf_parallel (under build)");
     g.edge(prepare, registry, "serve/src/telemetry.rs (first-use registration)");

@@ -13,11 +13,13 @@
 //!   key coalesce onto a single prepare; eviction is LRU with a warmup
 //!   pin (an engine is never evicted before it has repaid its
 //!   preparation with [`PoolConfig::warmup_uses`] uses).
-//! - [`SpmmServer`] — bounded admission in front of the pool. Queued
-//!   requests that share a pool key are coalesced into one N-column
+//! - [`SpmmServer`] — bounded admission in front of the pool.
+//!   [`SpmmServer::serve_next_batch`] is the queue's only consumer: it
+//!   coalesces queued requests that share a pool key into one N-column
 //!   SpMM (column concatenation is bitwise-exact for every kernel in the
-//!   workspace). With [`ServeConfig::verify`] set, each batch replays
-//!   the dtc-verify lints over the engine's lowered trace first.
+//!   workspace). [`SpmmServer::serve_one`] runs one request at once as a
+//!   batch of its own. With [`ServeConfig::verify`] set, each batch
+//!   replays the dtc-verify lints over the engine's lowered trace first.
 //!
 //! The layer's host wall time is measured by the repository benchmark
 //! (`perfbench/`): its `serve_hot` and `serve_churn` workloads drive a
@@ -39,6 +41,8 @@
 //!
 //! let a = Arc::new(dtc_formats::gen::uniform(64, 64, 400, 7));
 //! let server = SpmmServer::new(ServeConfig::default());
+//! // `serve_one` neither enters the queue, nor waits behind queued
+//! // requests, nor answers anyone else's: it returns this request's result.
 //! let c = server
 //!     .serve_one(Request {
 //!         tenant: 0,
@@ -75,9 +79,9 @@ pub struct ServeConfig {
     /// executing, failing the batch on any error-severity diagnostic.
     pub verify: bool,
     /// Statically verify every freshly prepared engine at admission time
-    /// ([`admission_check`]): trace lints at a probe width plus shard-plan
-    /// lints, run once inside the prepare (so the cost is amortized like
-    /// the conversion itself), rejecting an illegal engine with
+    /// ([`admission_check`]): trace lints at a probe width, run once
+    /// inside the prepare (so the cost is amortized like the conversion
+    /// itself), rejecting an illegal engine with
     /// [`DtcError::Verify`](dtc_core::DtcError::Verify) before it can
     /// fail mid-request. On by default.
     pub admission_verify: bool,

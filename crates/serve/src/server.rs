@@ -2,14 +2,16 @@
 //!
 //! Requests name a (tenant, engine family, [`EngineConfig`], matrix, dense
 //! operand). Admission bounds the queue ([`DtcError::Admission`] when
-//! full); the server drains the queue in batches, coalescing every queued
-//! request that shares the front request's [`PoolKey`] into **one**
-//! N-column SpMM: the dense operands are concatenated column-wise, the
-//! prepared engine executes once, and the output is split back per
-//! request. Column-wise concatenation is numerically free — every SpMM
-//! kernel in the workspace computes output columns independently — so a
-//! coalesced result is bitwise-identical to serving the request alone
-//! (pinned by `tests/serve.rs`).
+//! full). [`SpmmServer::serve_next_batch`], the queue's only consumer,
+//! drains it in batches, coalescing every queued request that shares the
+//! front request's [`PoolKey`] into **one** N-column SpMM: the dense
+//! operands are concatenated column-wise, the prepared engine executes
+//! once, and the output is split back per request. Column-wise
+//! concatenation is numerically free — every SpMM kernel in the workspace
+//! computes output columns independently — so a coalesced result is
+//! bitwise-identical to serving the request alone (pinned by
+//! `tests/serve.rs`). [`SpmmServer::serve_one`] bypasses the queue and
+//! runs its request as a batch of one.
 //!
 //! With [`ServeConfig::verify`] set, every batch passes the dtc-verify
 //! structural/resource lint replay over the engine's lowered trace before
@@ -20,9 +22,9 @@ use crate::pool::{EnginePool, PoolKey};
 use crate::ServeConfig;
 use dtc_core::{DtcError, EngineConfig, EngineKind, KeyMaterial, SpmmEngine};
 use dtc_formats::{CsrMatrix, DenseMatrix};
-use dtc_par::ShardPlan;
-use dtc_verify::{SchedCase, Severity, TraceCase};
+use dtc_verify::{Severity, TraceCase};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Admission-time static verification of a freshly prepared engine: the
@@ -30,14 +32,11 @@ use std::sync::{Arc, Mutex};
 /// rejected at prepare time ([`DtcError::Verify`]) instead of failing —
 /// or silently miscounting — mid-request.
 ///
-/// Two families run:
-///
-/// - the dtc-verify trace lints over the engine's lowering at a small
-///   probe width (structural invariants, SM resource legality, cost-table
-///   coverage — a device model with a zeroed cost table is caught here);
-/// - the concurrency plan lints over the [`ShardPlan`] the parallel
-///   execution paths would cut for this engine's row space (chunk/band
-///   coverage and disjointness).
+/// It runs the dtc-verify trace lints over the engine's lowering at a
+/// small probe width: structural invariants, SM resource legality and
+/// cost-table coverage (a device model with a zeroed cost table is caught
+/// here). No shard-plan lint runs: the plan an execute cuts depends on
+/// the engine's own weights, and the planner is gated by `schedcheck`.
 ///
 /// The server composes this into the pool's prepare closure when
 /// [`ServeConfig::admission_verify`] is set (the default), so a failed
@@ -47,16 +46,7 @@ use std::sync::{Arc, Mutex};
 pub fn admission_check(engine: &dyn SpmmEngine, config: &EngineConfig) -> Result<(), DtcError> {
     let _span = dtc_telemetry::span("serve.admission_check");
     const PROBE_COLS: usize = 8;
-    let mut errors = trace_errors(engine, PROBE_COLS, config);
-    // Lint the plan execute cuts: same row space, same worker count.
-    let plan = ShardPlan::even(engine.rows(), dtc_par::num_threads());
-    errors.extend(
-        dtc_verify::verify_plan(&SchedCase::new(engine.name(), &plan))
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .map(|d| d.to_string()),
-    );
-    reject(engine, &errors)
+    reject(engine, &trace_errors(engine, PROBE_COLS, config))
 }
 
 /// Lowers `engine` at width `n` and renders every error-severity
@@ -103,7 +93,7 @@ pub struct Request {
 /// One served request's result.
 #[derive(Debug)]
 pub struct Response {
-    /// Admission sequence number (matches the value `admit` returned).
+    /// Sequence number (matches the value `admit` returned).
     pub seq: u64,
     /// Requesting tenant.
     pub tenant: usize,
@@ -136,7 +126,7 @@ pub struct SpmmServer {
     cfg: ServeConfig,
     pool: EnginePool,
     queue: Mutex<VecDeque<Pending>>,
-    next_seq: Mutex<u64>,
+    next_seq: AtomicU64,
 }
 
 impl std::fmt::Debug for SpmmServer {
@@ -156,7 +146,7 @@ impl SpmmServer {
             pool: EnginePool::new(cfg.pool),
             cfg,
             queue: Mutex::new(VecDeque::new()),
-            next_seq: Mutex::new(0),
+            next_seq: AtomicU64::new(0),
         }
     }
 
@@ -177,17 +167,7 @@ impl SpmmServer {
     /// [`DtcError::Admission`] when the request is malformed (dense rows ≠
     /// sparse cols) or the queue is at `max_queue`.
     pub fn admit(&self, req: Request) -> Result<u64, DtcError> {
-        if req.b.rows() != req.matrix.cols() {
-            crate::telemetry::requests_rejected().incr();
-            return Err(DtcError::Admission {
-                reason: format!(
-                    "dense operand has {} rows, matrix has {} cols",
-                    req.b.rows(),
-                    req.matrix.cols()
-                ),
-            });
-        }
-        let key = PoolKey::new(req.kind, &req.config, KeyMaterial::of(&req.matrix));
+        let key = pool_key(&req)?;
         let mut queue = self.queue.lock().unwrap();
         if queue.len() >= self.cfg.max_queue {
             crate::telemetry::requests_rejected().incr();
@@ -195,11 +175,8 @@ impl SpmmServer {
                 reason: format!("queue full ({} requests)", self.cfg.max_queue),
             });
         }
-        let seq = {
-            let mut next = self.next_seq.lock().unwrap();
-            *next += 1;
-            *next
-        };
+        // Numbered under the queue lock, so queue order is sequence order.
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
         queue.push_back(Pending { seq, req, key });
         crate::telemetry::requests_admitted().incr();
         Ok(seq)
@@ -302,31 +279,41 @@ impl SpmmServer {
         dropped
     }
 
-    /// Convenience: admit one request and serve it immediately (it may
-    /// still coalesce with requests other threads queued in between).
-    /// Returns this request's own result.
+    /// Serves one request at once, as a batch of one on the same pool and
+    /// gates as a drained batch. It neither enters the queue (so
+    /// `max_queue` does not bound it), nor waits behind queued requests,
+    /// nor answers anyone else's: queued requests stay queued for
+    /// [`serve_next_batch`](Self::serve_next_batch). Returns this
+    /// request's result.
     ///
     /// # Errors
     ///
-    /// Admission, prepare, verify and execution errors.
+    /// Malformed-request, prepare, verify and execution errors.
     pub fn serve_one(&self, req: Request) -> Result<DenseMatrix, DtcError> {
-        let seq = self.admit(req)?;
-        loop {
-            match self.serve_next_batch() {
-                None => {
-                    // Another thread's batch picked our request up.
-                    return Err(DtcError::Admission {
-                        reason: "request served by a concurrent batch".into(),
-                    });
-                }
-                Some(Err(e)) => return Err(e),
-                Some(Ok(outcome)) => {
-                    if let Some(resp) = outcome.responses.into_iter().find(|r| r.seq == seq) {
-                        return Ok(resp.c);
-                    }
-                    // Served someone else's batch; keep draining.
-                }
-            }
-        }
+        let key = pool_key(&req)?;
+        crate::telemetry::requests_admitted().incr();
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut outcome = self.execute_batch(vec![Pending { seq, req, key }])?;
+        Ok(outcome.responses.pop().expect("a batch of one has one response").c)
     }
+}
+
+/// The pool key of a well-formed request.
+///
+/// # Errors
+///
+/// [`DtcError::Admission`] when the dense operand's rows differ from the
+/// sparse operand's columns.
+fn pool_key(req: &Request) -> Result<PoolKey, DtcError> {
+    if req.b.rows() != req.matrix.cols() {
+        crate::telemetry::requests_rejected().incr();
+        return Err(DtcError::Admission {
+            reason: format!(
+                "dense operand has {} rows, matrix has {} cols",
+                req.b.rows(),
+                req.matrix.cols()
+            ),
+        });
+    }
+    Ok(PoolKey::new(req.kind, &req.config, KeyMaterial::of(&req.matrix)))
 }

@@ -2,7 +2,8 @@
 //!
 //! Naming (all in the process-wide `dtc-telemetry` registry):
 //!
-//! - `serve.requests.admitted` — requests accepted into the queue;
+//! - `serve.requests.admitted` — requests accepted by `admit` (queued) or
+//!   `serve_one` (served at once);
 //! - `serve.requests.coalesced` — requests that rode another request's
 //!   batch (batch size minus one, summed over batches);
 //! - `serve.requests.rejected` — requests refused at admission;

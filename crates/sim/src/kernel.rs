@@ -151,7 +151,7 @@ pub struct KernelTrace {
     /// Class identity → index into `classes`.
     index: HashMap<WorkClassKey, u32>,
     /// When false, `push` appends a fresh class per block (the legacy
-    /// uncompressed layout, kept for benchmarking and equivalence tests).
+    /// uncompressed layout of [`expanded`](KernelTrace::expanded)).
     interning: bool,
     /// Thread blocks resident per SM (the paper measures 6 for DTC-SpMM).
     pub occupancy: usize,
@@ -206,14 +206,26 @@ impl KernelTrace {
         self.interning
     }
 
-    /// Enables or disables class interning for subsequent [`push`]es.
-    /// With interning off every block gets its own class — the exact
-    /// pre-compression layout, retained as the benchmark baseline and the
+    /// The one-class-per-block copy of this trace: the same blocks,
+    /// streams, occupancy, warps, assumed L2 hit rate and resources, with
+    /// interning off (later [`push`]es append a class each). This is the exact
+    /// pre-compression layout, kept as the benchmark baseline and the
     /// reference side of the equivalence tests.
     ///
     /// [`push`]: KernelTrace::push
-    pub fn set_interning(&mut self, on: bool) {
-        self.interning = on;
+    pub fn expanded(&self) -> KernelTrace {
+        let mut legacy = KernelTrace {
+            classes: Vec::new(),
+            class_ids: Vec::new(),
+            streams: Vec::new(),
+            index: HashMap::new(),
+            interning: false,
+            ..*self
+        };
+        for i in 0..self.num_tbs() {
+            legacy.push(TbWork { b_stream: self.stream(i).clone(), ..self.tb(i).clone() });
+        }
+        legacy
     }
 
     /// Appends a thread block (defaulting `imad_count` to `alu_ops` when
@@ -437,12 +449,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_mode_keeps_one_class_per_block() {
+    fn expanded_keeps_one_class_per_block() {
         let mut t = KernelTrace::new(6, 8);
-        t.set_interning(false);
         for _ in 0..10 {
             t.push(TbWork { hmma_ops: 1.0, ..TbWork::default() });
         }
+        let t = t.expanded();
+        assert!(!t.interning());
         assert_eq!(t.num_classes(), 10);
         assert_eq!(t.compression_ratio(), 1.0);
     }
@@ -450,13 +463,10 @@ mod tests {
     #[test]
     fn compressed_memory_is_smaller_on_duplicate_heavy_traces() {
         let mut interned = KernelTrace::new(6, 8);
-        let mut legacy = KernelTrace::new(6, 8);
-        legacy.set_interning(false);
         for i in 0..10_000 {
-            let tb = TbWork { hmma_ops: (i % 8) as f64, iters: 4.0, ..TbWork::default() };
-            interned.push(tb.clone());
-            legacy.push(tb);
+            interned.push(TbWork { hmma_ops: (i % 8) as f64, iters: 4.0, ..TbWork::default() });
         }
+        let legacy = interned.expanded();
         assert!(
             interned.memory_bytes() * 10 <= legacy.memory_bytes(),
             "interned {} vs legacy {}",

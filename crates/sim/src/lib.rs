@@ -344,19 +344,16 @@ mod tests {
         // exactly what the one-class-per-block representation reports.
         let device = Device::rtx4090();
         let mut interned = KernelTrace::new(6, 8);
-        let mut legacy = KernelTrace::new(6, 8);
-        legacy.set_interning(false);
         for i in 0..500usize {
-            let w = TbWork {
+            interned.push(TbWork {
                 hmma_ops: (i % 7) as f64 * 10.0,
                 hmma_count: (i % 7) as f64 * 20.0,
                 lsu_b_sectors: (i % 3) as f64 * 64.0,
                 iters: 4.0,
                 ..TbWork::default()
-            };
-            interned.push(w.clone());
-            legacy.push(w);
+            });
         }
+        let legacy = interned.expanded();
         assert!(interned.num_classes() < 25);
         assert_eq!(legacy.num_classes(), 500);
         for timing in [TimingMode::Analytical, TimingMode::EventDriven] {

@@ -262,6 +262,54 @@ fn failed_batch_consumes_only_its_own_key() {
     }
 }
 
+/// `serve_one` answers exactly its own request, even from many threads at
+/// once: every call returns its own result, and a request another caller
+/// left in the queue is neither served nor dropped by the herd.
+#[test]
+fn concurrent_serve_one_answers_every_caller_and_leaves_the_queue_alone() {
+    let _serial = COUNTER_LOCK.lock().unwrap();
+    let (threads, calls) = (4usize, 100usize);
+    let a = Arc::new(gen::uniform(64, 64, 400, 0x0A1E));
+    let config = EngineConfig::default();
+    let server = Arc::new(SpmmServer::new(ServeConfig::default()));
+    let req = |salt: usize| Request {
+        tenant: salt,
+        kind: EngineKind::Dtc,
+        config: config.clone(),
+        matrix: Arc::clone(&a),
+        b: dense_for(&a, 4, salt),
+    };
+    let queued_salt = threads * calls;
+    let queued_seq = server.admit(req(queued_salt)).unwrap();
+
+    let barrier = Arc::new(Barrier::new(threads));
+    let handles: Vec<_> = (0..threads)
+        .map(|t| {
+            let (server, barrier) = (Arc::clone(&server), Arc::clone(&barrier));
+            let reqs: Vec<Request> = (0..calls).map(|i| req(t * calls + i)).collect();
+            std::thread::spawn(move || {
+                barrier.wait();
+                reqs.into_iter().map(|r| server.serve_one(r)).collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let results: Vec<_> =
+        handles.into_iter().flat_map(|h| h.join().expect("caller panicked")).collect();
+
+    let direct = prepare(EngineKind::Dtc, &config, &a).unwrap();
+    for (salt, result) in results.into_iter().enumerate() {
+        let served = result.unwrap_or_else(|e| panic!("call {salt} lost its answer: {e:?}"));
+        let want = direct.execute(&dense_for(&a, 4, salt)).unwrap();
+        assert_eq!(bits(&served), bits(&want), "call {salt} got another result");
+    }
+    assert_eq!(server.queued(), 1, "the pre-admitted request must stay queued");
+    let outcome = server.serve_next_batch().expect("one request queued").expect("batch");
+    assert_eq!(outcome.responses.len(), 1);
+    assert_eq!(outcome.responses[0].seq, queued_seq);
+    let want = direct.execute(&dense_for(&a, 4, queued_salt)).unwrap();
+    assert_eq!(bits(&outcome.responses[0].c), bits(&want));
+}
+
 /// Admission control: a full queue rejects with `DtcError::Admission` and
 /// a malformed operand never reaches the pool.
 #[test]

@@ -40,27 +40,13 @@ fn arb_dup_trace() -> impl Strategy<Value = KernelTrace> {
         })
 }
 
-/// Rebuilds `trace` with interning disabled: one class per block, streams
-/// identical — the naively expanded equivalent of the compressed trace.
-fn expand(trace: &KernelTrace) -> KernelTrace {
-    let mut legacy = KernelTrace::new(trace.occupancy, trace.warps_per_tb);
-    legacy.assumed_l2_hit_rate = trace.assumed_l2_hit_rate;
-    legacy.set_interning(false);
-    for i in 0..trace.num_tbs() {
-        let mut tb = trace.tb(i).clone();
-        tb.b_stream = trace.stream(i).clone();
-        legacy.push(tb);
-    }
-    legacy
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn interned_and_expanded_reports_are_bit_identical(trace in arb_dup_trace()) {
         let device = Device::rtx4090();
-        let legacy = expand(&trace);
+        let legacy = trace.expanded();
         prop_assert_eq!(trace.num_tbs(), legacy.num_tbs());
         for timing in [TimingMode::Analytical, TimingMode::EventDriven] {
             for simulate_l2 in [false, true] {
@@ -117,13 +103,7 @@ fn compression_shrinks_duplicate_heavy_traces() {
         "encoded {encoded_stream_bytes} vs raw {raw_stream_bytes}"
     );
     // Class lever: interning shrinks the descriptor table itself.
-    let mut legacy = KernelTrace::new(6, 8);
-    legacy.set_interning(false);
-    for i in 0..trace.num_tbs() {
-        let mut tb = trace.tb(i).clone();
-        tb.b_stream = trace.stream(i).clone();
-        legacy.push(tb);
-    }
+    let legacy = trace.expanded();
     assert!(
         trace.memory_bytes() * 3 <= legacy.memory_bytes(),
         "interned {} vs legacy {}",
