@@ -99,6 +99,19 @@ pub trait SpmmEngine: Send + Sync {
     /// Returns [`FormatError::DimensionMismatch`] when `b.rows() != self.cols()`.
     fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, FormatError>;
 
+    /// [`execute`](Self::execute) against several dense operands at once,
+    /// taking them by value: output `i` is bitwise `execute(&bs[i])`. The
+    /// default runs them one after another. An engine whose kernel can
+    /// serve every operand from one pass over the sparse operand overrides
+    /// it, and may hand each output back in its operand's allocation.
+    ///
+    /// # Errors
+    ///
+    /// As [`execute`](Self::execute), for the first operand that fails.
+    fn execute_many(&self, bs: Vec<DenseMatrix>) -> Result<Vec<DenseMatrix>, FormatError> {
+        bs.iter().map(|b| self.execute(b)).collect()
+    }
+
     /// Lowers the kernel for an `N`-column dense operand into a
     /// per-thread-block performance trace. When `record_b_addrs` is set,
     /// the trace carries B-access sector addresses for L2 simulation.
@@ -178,6 +191,21 @@ mod tests {
             assert!(r.num_tbs > 0, "{} launched no blocks", k.name());
             assert_eq!(k.flops(128), 2 * 128 * a.nnz() as u64, "{}", k.name());
         }
+    }
+
+    #[test]
+    fn default_execute_many_is_execute_per_operand() {
+        let a = power_law(96, 96, 5.0, 2.2, 78);
+        let bs: Vec<DenseMatrix> = [8, 0, 17]
+            .iter()
+            .map(|&n| DenseMatrix::from_fn(96, n, |r, c| ((r * 5 + c * 3) % 11) as f32 - 5.0))
+            .collect();
+        for k in all_kernels(&a) {
+            let want: Vec<DenseMatrix> = bs.iter().map(|b| k.execute(b).unwrap()).collect();
+            assert_eq!(k.execute_many(bs.clone()).unwrap(), want, "{}", k.name());
+        }
+        let bad = vec![DenseMatrix::ones(96, 4), DenseMatrix::ones(95, 4)];
+        assert!(CusparseSpmm::new(&a).execute_many(bad).is_err());
     }
 
     #[test]

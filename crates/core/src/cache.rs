@@ -15,7 +15,7 @@ use crate::telemetry::{
     conversion_cache_hits, conversion_cache_invalidations, conversion_cache_misses,
 };
 use dtc_formats::{CsrMatrix, MeTcfMatrix, BLOCK_WIDTH, WINDOW_HEIGHT};
-use dtc_par::hash::{fnv1a, fnv1a_slice, Fnv1a};
+use dtc_par::hash::{fnv1a, Fnv1a};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -48,19 +48,18 @@ pub struct KeyMaterial {
 }
 
 impl KeyMaterial {
-    /// Computes the identity material of a matrix (three chunked-parallel
-    /// checksum passes; digests are independent of `DTC_THREADS`).
+    /// The identity material of a matrix: its dims and nnz plus its
+    /// memoised [`CsrMatrix::checksums`]. The first key of a matrix pays
+    /// three chunked-parallel checksum passes (digests are independent of
+    /// `DTC_THREADS`); every later key of the same matrix or of its clones
+    /// (admission, the pool probe, the build's own key) is a load.
     pub fn of(a: &CsrMatrix) -> Self {
-        // Distinct offset bases decorrelate the three checksums (all use
-        // the same FNV prime).
-        KeyMaterial {
-            rows: a.rows(),
-            cols: a.cols(),
-            nnz: a.nnz(),
-            row_ptr_sum: fnv1a_slice(0x6c62_272e_07bb_0142, a.row_ptr(), |&p| p as u64),
-            col_idx_sum: fnv1a_slice(0xdead_beef_cafe_f00d, a.col_idx(), |&c| c as u64),
-            value_sum: fnv1a_slice(0x0123_4567_89ab_cdef, a.values(), |v| v.to_bits() as u64),
-        }
+        Self::with_checksums(a.rows(), a.cols(), a.nnz(), a.checksums())
+    }
+
+    fn with_checksums(rows: usize, cols: usize, nnz: usize, sums: [u64; 3]) -> Self {
+        let [row_ptr_sum, col_idx_sum, value_sum] = sums;
+        KeyMaterial { rows, cols, nnz, row_ptr_sum, col_idx_sum, value_sum }
     }
 
     /// Computes the identity material of an ME-TCF matrix, bit-identical
@@ -74,28 +73,23 @@ impl KeyMaterial {
     /// chunk, where that function is a plain serial fold) hash the three
     /// CSR-order streams straight out of the per-window row buckets with
     /// nothing materialized. Larger ones materialize via
-    /// [`MeTcfMatrix::csr_arrays`] and defer to [`fnv1a_slice`], whose
-    /// chunked-parallel digest a streaming fold could not reproduce.
+    /// [`MeTcfMatrix::csr_arrays`] and defer to
+    /// [`CsrMatrix::array_checksums`], whose chunked-parallel digest a
+    /// streaming fold could not reproduce.
     pub fn of_metcf(m: &MeTcfMatrix) -> Self {
         const CHUNK: usize = 64 * 1024; // fnv1a_slice's serial/chunked split
         let (rows, cols, nnz) = (m.rows(), m.cols(), m.nnz());
         if rows + 1 > CHUNK || nnz > CHUNK {
             let (row_ptr, col_idx, values) = m.csr_arrays();
-            return KeyMaterial {
-                rows,
-                cols,
-                nnz,
-                row_ptr_sum: fnv1a_slice(0x6c62_272e_07bb_0142, &row_ptr, |&p| p as u64),
-                col_idx_sum: fnv1a_slice(0xdead_beef_cafe_f00d, &col_idx, |&c| c as u64),
-                value_sum: fnv1a_slice(0x0123_4567_89ab_cdef, &values, |v| v.to_bits() as u64),
-            };
+            let sums = CsrMatrix::array_checksums(&row_ptr, &col_idx, &values);
+            return Self::with_checksums(rows, cols, nnz, sums);
         }
-        let mut row_hash = Fnv1a::with_seed(0x6c62_272e_07bb_0142);
-        let mut col_hash = Fnv1a::with_seed(0xdead_beef_cafe_f00d);
-        let mut val_hash = Fnv1a::with_seed(0x0123_4567_89ab_cdef);
+        // The words `CsrMatrix::array_checksums` folds, in CSR order, from
+        // the same per-window bucketing pass as `MeTcfMatrix::csr_arrays`,
+        // folded straight into the hashers instead of materialized.
+        let [mut row_hash, mut col_hash, mut val_hash] =
+            CsrMatrix::CHECKSUM_SEEDS.map(Fnv1a::with_seed);
         row_hash.word(0); // row_ptr[0]
-                          // Same per-window bucketing pass as `MeTcfMatrix::csr_arrays`,
-                          // folded straight into the hashers instead of materialized.
         let mut buckets: [Vec<(u32, u32)>; WINDOW_HEIGHT] = Default::default();
         let mut prefix = 0u64;
         for w in 0..m.num_windows() {
@@ -124,14 +118,8 @@ impl KeyMaterial {
                 }
             }
         }
-        KeyMaterial {
-            rows,
-            cols,
-            nnz,
-            row_ptr_sum: row_hash.finish(),
-            col_idx_sum: col_hash.finish(),
-            value_sum: val_hash.finish(),
-        }
+        let sums = [row_hash.finish(), col_hash.finish(), val_hash.finish()];
+        Self::with_checksums(rows, cols, nnz, sums)
     }
 
     /// Rows of the identified matrix.
@@ -287,6 +275,44 @@ mod tests {
         let b = CsrMatrix::from_triplets(4, 4, &[(0, 1, 1.0), (2, 3, 2.5)]).unwrap();
         assert_ne!(KeyMaterial::of(&a), KeyMaterial::of(&b));
         assert_eq!(KeyMaterial::of(&a), KeyMaterial::of(&a.clone()));
+    }
+
+    /// A copy of `a`'s arrays whose checksums are not yet computed.
+    fn unkeyed_copy(a: &CsrMatrix) -> CsrMatrix {
+        let (row_ptr, col_idx, values) =
+            (a.row_ptr().to_vec(), a.col_idx().to_vec(), a.values().to_vec());
+        CsrMatrix::from_parts(a.rows(), a.cols(), row_ptr, col_idx, values).unwrap()
+    }
+
+    #[test]
+    fn keyed_matrix_its_clone_and_an_unkeyed_copy_agree() {
+        // Past fnv1a_slice's 64 Ki chunk, so the memo holds a chunked digest.
+        let a = uniform(1200, 800, 70_000, 11);
+        let key = KeyMaterial::of(&a);
+        let (clone, copy) = (a.clone(), unkeyed_copy(&a));
+        assert!(clone == a && copy == a);
+        assert_eq!(KeyMaterial::of(&clone), key);
+        assert_eq!(KeyMaterial::of(&copy), key);
+        assert_eq!(KeyMaterial::of(&a), key);
+    }
+
+    #[test]
+    fn concurrent_first_keys_of_one_matrix_agree() {
+        let a = Arc::new(uniform(1200, 800, 70_000, 12));
+        let barrier = Arc::new(std::sync::Barrier::new(4));
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let (a, barrier) = (Arc::clone(&a), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    KeyMaterial::of(&a)
+                })
+            })
+            .collect();
+        let cold = KeyMaterial::of(&unkeyed_copy(&a));
+        for h in handles {
+            assert_eq!(h.join().expect("keying thread panicked"), cold);
+        }
     }
 
     #[test]

@@ -111,6 +111,17 @@ impl DtcKernel {
         plan.execute(b, self.precision, perm)
     }
 
+    /// [`DtcKernel::execute_permuted`] against several operands in one
+    /// pass over the plan. Dimensions are the caller's to check.
+    pub(crate) fn execute_permuted_many(
+        &self,
+        bs: Vec<DenseMatrix>,
+        perm: Option<&[usize]>,
+    ) -> Vec<DenseMatrix> {
+        let plan = self.plan.get_or_init(|| ExecPlan::build(&self.metcf, self.precision));
+        plan.execute_many(bs, self.precision, perm)
+    }
+
     /// Per-block instruction mix shared by the base and balanced kernels.
     pub(crate) fn block_cost(
         metcf: &MeTcfMatrix,
@@ -183,6 +194,13 @@ impl SpmmEngine for DtcKernel {
     fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, FormatError> {
         check_spmm_dims(self.rows(), self.cols(), b)?;
         Ok(self.execute_permuted(b, None))
+    }
+
+    fn execute_many(&self, bs: Vec<DenseMatrix>) -> Result<Vec<DenseMatrix>, FormatError> {
+        for b in &bs {
+            check_spmm_dims(self.rows(), self.cols(), b)?;
+        }
+        Ok(self.execute_permuted_many(bs, None))
     }
 
     fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {

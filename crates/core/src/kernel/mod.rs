@@ -9,6 +9,17 @@ pub use base::DtcKernel;
 pub use opts::KernelOpts;
 
 use dtc_formats::{DenseMatrix, MeTcfMatrix, Precision, BLOCK_WIDTH, WINDOW_HEIGHT};
+use std::cell::Cell;
+
+thread_local! {
+    /// The calling thread's rounded-B staging buffer, kept between
+    /// executes (at the size of the largest B staged on the thread): a
+    /// stream of executes rounds B into pages already mapped instead of
+    /// allocating, and faulting in, K·N floats on every call. Taken for
+    /// the length of one execute, so a re-entrant call stages into a fresh
+    /// buffer.
+    static STAGED_B: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
 
 /// The host analogue of the paper's *index precomputing* (§4.4): every
 /// per-non-zero quantity the exact execute needs, resolved once per kernel.
@@ -100,70 +111,138 @@ impl ExecPlan {
     /// `perm[r]` is the output row of plan row `r` (`None`: identity), so a
     /// reordered engine's C comes back in original row order with no copy.
     ///
-    /// B is rounded once per call (K·N work). Each row then runs column
-    /// tiles of 32, 16 and 8 lanes and a scalar tail; a tile's accumulators
-    /// start at `+0.0`, take the row's products in plan order and are
-    /// stored once. One task per 16-row window, in plan order so a
-    /// reordered engine keeps the locality reordering bought, fanned out
-    /// over `dtc_par` with nnz-weighted cuts. Every task writes its own
-    /// rows, so the result is bit-identical for any thread count (see
-    /// DESIGN.md, "Parallel host substrate").
+    /// B is rounded once per call (K·N work), into the calling thread's
+    /// staging buffer. Each row then runs column tiles of 32, 16 and 8
+    /// lanes and a scalar tail; a tile's accumulators start at `+0.0`,
+    /// take the row's products in plan order and are stored once. One task
+    /// per 16-row window, in plan order so a reordered engine keeps the
+    /// locality reordering bought, fanned out over `dtc_par` with
+    /// nnz-weighted cuts. Every task writes its own rows, so the result is
+    /// bit-identical for any thread count (see DESIGN.md, "Parallel host
+    /// substrate").
     pub(crate) fn execute(
         &self,
         b: &DenseMatrix,
         precision: Precision,
         perm: Option<&[usize]>,
     ) -> DenseMatrix {
-        let n = b.cols();
-        let rows = self.row_ptr.len() - 1;
-        let mut c = DenseMatrix::zeros(rows, n);
-        if n == 0 {
-            return c;
-        }
-        let b_tc = precision.round_dense(b);
-        let b_tc = b_tc.as_slice();
-        let weights = &self.window_weights;
-        match perm {
-            None => dtc_par::par_chunks_mut_weighted(
-                c.as_mut_slice(),
-                WINDOW_HEIGHT * n,
-                weights,
-                |w, strip| self.execute_window(w, strip.chunks_exact_mut(n), b_tc),
-            ),
-            Some(perm) => {
-                // The output rows in plan order: disjoint `&mut` rows, so
-                // windows write straight into their permuted rows.
-                let mut by_output: Vec<Option<&mut [f32]>> =
-                    c.as_mut_slice().chunks_exact_mut(n).map(Some).collect();
-                let mut in_plan_order: Vec<&mut [f32]> = perm
-                    .iter()
-                    .map(|&o| by_output[o].take().expect("perm is a permutation"))
-                    .collect();
-                dtc_par::par_chunks_mut_weighted(
-                    &mut in_plan_order,
-                    WINDOW_HEIGHT,
-                    weights,
-                    |w, out_rows| {
-                        self.execute_window(w, out_rows.iter_mut().map(|r| &mut **r), b_tc)
-                    },
-                );
-            }
-        }
+        let mut staged = STAGED_B.take();
+        precision.round_concat_into(&[b.as_slice()], &mut staged);
+        let mut c = [DenseMatrix::zeros(self.rows(), b.cols())];
+        self.run(&staged, b.rows(), &mut c, perm);
+        STAGED_B.set(staged);
+        let [c] = c;
         c
     }
 
-    /// Runs window `w`'s rows into `out_rows` (fewer than 16 for a final
-    /// partial window). `b` is B already rounded.
-    fn execute_window<'a>(
+    /// [`ExecPlan::execute`] against several operands (all K rows) in one
+    /// pass over the plan: each row's entries are walked once per operand
+    /// while they are cache-resident, and every output is written in
+    /// place. All operands are rounded into the staging buffer back to
+    /// back; after that B is read only from there, so each output takes
+    /// its operand's allocation and the batch maps no fresh pages for its
+    /// results. Output `i` takes the same products in the same order as
+    /// `execute(&bs[i])`, so it is bitwise that result.
+    pub(crate) fn execute_many(
         &self,
-        w: usize,
-        out_rows: impl Iterator<Item = &'a mut [f32]>,
-        b: &[f32],
-    ) {
-        for (r, out) in (w * WINDOW_HEIGHT..).zip(out_rows) {
-            let entries = self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize;
-            row_product(&self.col[entries.clone()], &self.val[entries], b, out);
+        bs: Vec<DenseMatrix>,
+        precision: Precision,
+        perm: Option<&[usize]>,
+    ) -> Vec<DenseMatrix> {
+        let (rows, b_rows) = (self.rows(), bs.first().map_or(0, DenseMatrix::rows));
+        let mut staged = STAGED_B.take();
+        let srcs: Vec<&[f32]> = bs.iter().map(DenseMatrix::as_slice).collect();
+        precision.round_concat_into(&srcs, &mut staged);
+        let mut cs: Vec<DenseMatrix> = bs
+            .into_iter()
+            .map(|b| {
+                let n = b.cols();
+                let mut data = b.into_vec();
+                data.resize(rows * n, 0.0);
+                DenseMatrix::from_vec(rows, n, data).expect("rows * n elements")
+            })
+            .collect();
+        self.run(&staged, b_rows, &mut cs, perm);
+        STAGED_B.set(staged);
+        cs
+    }
+
+    fn rows(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    /// Writes every output in `cs` from its rounded operand. `staged`
+    /// holds the operands back to back, operand `i` being `b_rows ×
+    /// cs[i].cols()` row-major. One operand in plan order fans out over
+    /// contiguous window strips of its output; otherwise every output row
+    /// is taken as one slice per operand, in plan order, so each window's
+    /// task holds its own rows' slices.
+    fn run(&self, staged: &[f32], b_rows: usize, cs: &mut [DenseMatrix], perm: Option<&[usize]>) {
+        let rows = self.rows();
+        let mut rest = staged;
+        let mut live = Vec::with_capacity(cs.len());
+        for c in cs.iter_mut() {
+            let (b_tc, tail) = rest.split_at(b_rows * c.cols());
+            rest = tail;
+            if c.cols() > 0 {
+                live.push((b_tc, c));
+            }
         }
+        if live.is_empty() || rows == 0 {
+            return;
+        }
+        let weights = &self.window_weights;
+        if let ([(b_tc, c)], None) = (live.as_mut_slice(), perm) {
+            let n = c.cols();
+            dtc_par::par_chunks_mut_weighted(
+                c.as_mut_slice(),
+                WINDOW_HEIGHT * n,
+                weights,
+                |w, strip| {
+                    for (r, out) in (w * WINDOW_HEIGHT..).zip(strip.chunks_exact_mut(n)) {
+                        self.row_product(r, b_tc, out);
+                    }
+                },
+            );
+            return;
+        }
+        let k = live.len();
+        let (operands, outputs): (Vec<&[f32]>, Vec<&mut DenseMatrix>) = live.into_iter().unzip();
+        let mut row_iters: Vec<_> = outputs
+            .into_iter()
+            .map(|c| {
+                let n = c.cols();
+                c.as_mut_slice().chunks_exact_mut(n)
+            })
+            .collect();
+        let mut slots: Vec<&mut [f32]> = Vec::with_capacity(rows * k);
+        for _ in 0..rows {
+            slots.extend(row_iters.iter_mut().map(|it| it.next().expect("`rows` rows per output")));
+        }
+        if let Some(perm) = perm {
+            let mut by_output: Vec<Option<&mut [f32]>> = slots.into_iter().map(Some).collect();
+            slots = Vec::with_capacity(rows * k);
+            for &o in perm {
+                slots.extend(
+                    by_output[o * k..(o + 1) * k]
+                        .iter_mut()
+                        .map(|slot| slot.take().expect("perm is a permutation")),
+                );
+            }
+        }
+        dtc_par::par_chunks_mut_weighted(&mut slots, WINDOW_HEIGHT * k, weights, |w, slots| {
+            for (r, outs) in (w * WINDOW_HEIGHT..).zip(slots.chunks_exact_mut(k)) {
+                for (out, b_tc) in outs.iter_mut().zip(&operands) {
+                    self.row_product(r, b_tc, out);
+                }
+            }
+        });
+    }
+
+    /// Plan row `r` against rounded `b` into `out`.
+    fn row_product(&self, r: usize, b: &[f32], out: &mut [f32]) {
+        let entries = self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize;
+        row_product(&self.col[entries.clone()], &self.val[entries], b, out);
     }
 }
 
@@ -356,6 +435,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One pass over the plan for several operands (zero-width ones among
+    /// them) gives each operand exactly its solo execute, reordered or not,
+    /// on square matrices and on either rectangular shape (an output is
+    /// then longer or shorter than the operand whose allocation it takes).
+    #[test]
+    fn execute_many_is_bitwise_execute_per_operand() {
+        let square = community(400, 400, 8, 10.0, 0.85, 15);
+        let tall = power_law(300, 180, 6.0, 2.2, 16);
+        let wide = power_law(180, 300, 6.0, 2.2, 17);
+        for a in [&square, &tall, &wide] {
+            for (precision, reorder) in
+                [(Precision::Tf32, false), (Precision::Tf32, true), (Precision::Fp16, false)]
+            {
+                let config = EngineConfig { precision, reorder, ..EngineConfig::default() };
+                let engine = DtcSpmm::builder().config(config).build(a);
+                let bs: Vec<DenseMatrix> =
+                    [33, 0, 8, 1, 64].iter().map(|&n| hostile_b(a.cols(), n)).collect();
+                let solo: Vec<DenseMatrix> =
+                    bs.iter().map(|b| engine.execute(b).expect("execute")).collect();
+                for threads in [1, 2, 4] {
+                    dtc_par::set_threads(Some(threads));
+                    let many = engine.execute_many(bs.clone()).expect("execute_many");
+                    dtc_par::set_threads(None);
+                    assert_eq!(many.len(), solo.len());
+                    for (i, (got, want)) in many.iter().zip(&solo).enumerate() {
+                        assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+                        assert!(
+                            same_bits(got, want),
+                            "{precision:?} reorder={reorder} {}x{} operand {i} threads={threads}",
+                            a.rows(),
+                            a.cols()
+                        );
+                    }
+                }
+            }
+            // The bare kernel's entry point agrees too.
+            let kernel = DtcKernel::new(a);
+            let bs: Vec<DenseMatrix> = [16, 3].iter().map(|&n| hostile_b(a.cols(), n)).collect();
+            let many = kernel.execute_many(bs.clone()).expect("kernel execute_many");
+            for (got, b) in many.iter().zip(&bs) {
+                assert!(same_bits(got, &kernel.execute(b).expect("kernel execute")));
+            }
+        }
+        let engine = DtcSpmm::builder().build(&square);
+        assert!(engine.execute_many(vec![hostile_b(400, 8), hostile_b(399, 8)]).is_err());
+        assert!(engine.execute_many(Vec::new()).expect("no operands").is_empty());
+        let empty = engine.execute(&hostile_b(400, 0)).expect("zero-width execute");
+        assert_eq!((empty.rows(), empty.cols()), (400, 0));
     }
 
     #[test]

@@ -453,6 +453,16 @@ impl SpmmEngine for DtcSpmm {
         Ok(self.kernel.base().execute_permuted(b, self.perm.as_deref()))
     }
 
+    /// [`SpmmEngine::execute`] for every operand in one pass over the
+    /// kernel's plan, each output in original row order and in its
+    /// operand's allocation.
+    fn execute_many(&self, bs: Vec<DenseMatrix>) -> Result<Vec<DenseMatrix>, FormatError> {
+        for b in &bs {
+            check_spmm_dims(self.rows(), self.cols(), b)?;
+        }
+        Ok(self.kernel.base().execute_permuted_many(bs, self.perm.as_deref()))
+    }
+
     fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
         // Structural fingerprint (not a Debug-string hash): stable under
         // field reordering and allocation-free, so a modified clone of a

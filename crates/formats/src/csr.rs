@@ -1,4 +1,7 @@
 use crate::{CooMatrix, DenseMatrix, FormatError};
+use dtc_par::hash::fnv1a_slice;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// A sparse matrix in Compressed Sparse Row (CSR) format.
 ///
@@ -9,6 +12,14 @@ use crate::{CooMatrix, DenseMatrix, FormatError};
 ///
 /// Memory complexity (in 32-bit elements, values excluded, as the paper
 /// counts in Observation 1): `M + 1 + NNZ`.
+///
+/// A matrix never changes after it is constructed: its fields are private
+/// and no method takes `&mut self`. So the three identity checksums the
+/// caches key on ([`CsrMatrix::checksums`]) are computed on first use and
+/// memoised inside the value; every later key of the same matrix, or of a
+/// clone of it, is a load. Replacing a matrix (`*m = other`, also through
+/// `Arc::make_mut`) replaces the memo with the arrays. Equality and the
+/// `Debug` form ignore the memo.
 ///
 /// # Example
 ///
@@ -24,16 +35,70 @@ use crate::{CooMatrix, DenseMatrix, FormatError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
     row_ptr: Vec<usize>,
     col_idx: Vec<u32>,
     values: Vec<f32>,
+    checksums: OnceLock<[u64; 3]>,
+}
+
+impl PartialEq for CsrMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self.row_ptr == other.row_ptr
+            && self.col_idx == other.col_idx
+            && self.values == other.values
+    }
+}
+
+impl fmt::Debug for CsrMatrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CsrMatrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("row_ptr", &self.row_ptr)
+            .field("col_idx", &self.col_idx)
+            .field("values", &self.values)
+            .finish()
+    }
 }
 
 impl CsrMatrix {
+    /// FNV-1a seeds of the three identity checksums, in array order
+    /// (`row_ptr`, `col_idx`, `values`). Distinct offset bases decorrelate
+    /// the three streams, which share the FNV prime.
+    pub const CHECKSUM_SEEDS: [u64; 3] =
+        [0x6c62_272e_07bb_0142, 0xdead_beef_cafe_f00d, 0x0123_4567_89ab_cdef];
+
+    /// The three identity checksums of CSR arrays: [`fnv1a_slice`] under
+    /// [`CsrMatrix::CHECKSUM_SEEDS`] over each `row_ptr` entry and column
+    /// index widened to `u64` and each value's bit pattern. Digests are
+    /// independent of `DTC_THREADS`. [`CsrMatrix::checksums`] memoises
+    /// this for a constructed matrix; callers holding only the arrays
+    /// (such as a format that reconstructs them) call it directly.
+    pub fn array_checksums(row_ptr: &[usize], col_idx: &[u32], values: &[f32]) -> [u64; 3] {
+        let [row_seed, col_seed, value_seed] = Self::CHECKSUM_SEEDS;
+        [
+            fnv1a_slice(row_seed, row_ptr, |&p| p as u64),
+            fnv1a_slice(col_seed, col_idx, |&c| c as u64),
+            fnv1a_slice(value_seed, values, |v| v.to_bits() as u64),
+        ]
+    }
+
+    /// This matrix's identity checksums ([`CsrMatrix::array_checksums`]
+    /// of its arrays), computed on the first call and read from the memo
+    /// after it. Concurrent first calls agree: the digest is a pure
+    /// function of the arrays.
+    pub fn checksums(&self) -> [u64; 3] {
+        *self
+            .checksums
+            .get_or_init(|| Self::array_checksums(&self.row_ptr, &self.col_idx, &self.values))
+    }
+
     /// Builds a CSR matrix from raw arrays.
     ///
     /// # Errors
@@ -102,7 +167,7 @@ impl CsrMatrix {
                 prev = Some(c);
             }
         }
-        Ok(CsrMatrix { rows, cols, row_ptr, col_idx, values })
+        Ok(CsrMatrix { rows, cols, row_ptr, col_idx, values, checksums: OnceLock::new() })
     }
 
     /// Builds a CSR matrix from `(row, col, value)` triplets (via COO).
@@ -205,7 +270,8 @@ impl CsrMatrix {
             self.row_ptr[range.start..=range.end].iter().map(|&p| p - base).collect();
         let col_idx = self.col_idx[base..self.row_ptr[range.end]].to_vec();
         let values = self.values[base..self.row_ptr[range.end]].to_vec();
-        CsrMatrix { rows: range.end - range.start, cols: self.cols, row_ptr, col_idx, values }
+        let rows = range.end - range.start;
+        CsrMatrix { rows, cols: self.cols, row_ptr, col_idx, values, checksums: OnceLock::new() }
     }
 
     /// Applies a row permutation: row `r` of the result is row `perm[r]` of
@@ -231,7 +297,14 @@ impl CsrMatrix {
             values.extend_from_slice(vals);
             row_ptr.push(col_idx.len());
         }
-        CsrMatrix { rows: self.rows, cols: self.cols, row_ptr, col_idx, values }
+        CsrMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr,
+            col_idx,
+            values,
+            checksums: OnceLock::new(),
+        }
     }
 
     /// Ground-truth SpMM in full FP32: `C = A * B`.
@@ -376,6 +449,33 @@ mod tests {
     fn coo_roundtrip() {
         let m = sample();
         assert_eq!(m.to_coo().to_csr(), m);
+    }
+
+    #[test]
+    fn memo_takes_no_part_in_equality_or_debug() {
+        let keyed = CsrMatrix::from_parts(2, 3, vec![0, 1, 1], vec![2], vec![1.5]).unwrap();
+        let unkeyed = keyed.clone();
+        let sums = keyed.checksums();
+        assert_eq!(sums, CsrMatrix::array_checksums(&[0, 1, 1], &[2], &[1.5]));
+        assert_eq!(keyed, unkeyed);
+        let printed =
+            "CsrMatrix { rows: 2, cols: 3, row_ptr: [0, 1, 1], col_idx: [2], values: [1.5] }";
+        assert_eq!(format!("{keyed:?}"), printed);
+        assert_eq!(format!("{unkeyed:?}"), printed);
+        assert_eq!(unkeyed.checksums(), sums);
+    }
+
+    #[test]
+    fn derived_matrices_key_their_own_arrays() {
+        let m = sample();
+        m.checksums();
+        let rev: Vec<usize> = (0..4).rev().collect();
+        for d in [m.permute_rows(&rev), m.sub_rows(1..4), m.transposed()] {
+            assert_eq!(
+                d.checksums(),
+                CsrMatrix::array_checksums(d.row_ptr(), d.col_idx(), d.values())
+            );
+        }
     }
 
     #[test]

@@ -67,6 +67,32 @@ impl Precision {
         out
     }
 
+    /// The slices `srcs`, back to back, rounded to this precision into
+    /// `out`, which is resized to their total length. Reusing `out`
+    /// between calls stages operands without mapping fresh pages each
+    /// time. Fans out over `dtc_par` chunks like
+    /// [`Precision::round_dense`]; a chunk may span several sources.
+    pub fn round_concat_into(self, srcs: &[&[f32]], out: &mut Vec<f32>) {
+        out.resize(srcs.iter().map(|s| s.len()).sum(), 0.0);
+        dtc_par::par_chunks_mut(out, ROUND_CHUNK, |i, chunk| {
+            let mut skip = i * ROUND_CHUNK;
+            let mut filled = 0;
+            for src in srcs {
+                if filled == chunk.len() {
+                    break;
+                }
+                if skip >= src.len() {
+                    skip -= src.len();
+                    continue;
+                }
+                let take = (src.len() - skip).min(chunk.len() - filled);
+                chunk[filled..filled + take].copy_from_slice(&src[skip..skip + take]);
+                (filled, skip) = (filled + take, 0);
+            }
+            self.round_slice(chunk);
+        });
+    }
+
     /// Worst-case relative rounding error (half a ULP of the mantissa).
     pub fn unit_roundoff(self) -> f32 {
         match self {
@@ -259,6 +285,32 @@ mod tests {
                 assert_eq!((got.rows(), got.cols()), (m.rows(), m.cols()));
                 let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(got.as_slice()), bits(&want), "{p:?} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn round_concat_into_matches_round_slice_across_source_boundaries() {
+        let xs = edge_values();
+        // Sources shorter and longer than a chunk, one empty, so chunks
+        // start mid-source and span several sources.
+        let lens = [5, ROUND_CHUNK + 9, 0, ROUND_CHUNK / 3, 2 * ROUND_CHUNK + 1];
+        let srcs: Vec<Vec<f32>> = (0..lens.len())
+            .map(|s| (0..lens[s]).map(|i| xs[(i * 7 + s) % xs.len()]).collect())
+            .collect();
+        let views: Vec<&[f32]> = srcs.iter().map(Vec::as_slice).collect();
+        let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for p in [Precision::Tf32, Precision::Fp16, Precision::Bf16] {
+            let mut want = srcs.concat();
+            p.round_slice(&mut want);
+            // A reused buffer, longer than needed on the second call.
+            let mut out = vec![f32::NAN; 3];
+            for threads in [1, 4] {
+                dtc_par::set_threads(Some(threads));
+                p.round_concat_into(&views, &mut out);
+                dtc_par::set_threads(None);
+                assert_eq!(bits(&out), bits(&want), "{p:?} threads={threads}");
+                out.push(f32::NAN);
             }
         }
     }

@@ -15,9 +15,12 @@
 //!   preparation with [`PoolConfig::warmup_uses`] uses).
 //! - [`SpmmServer`] — bounded admission in front of the pool.
 //!   [`SpmmServer::serve_next_batch`] is the queue's only consumer: it
-//!   coalesces queued requests that share a pool key into one N-column
-//!   SpMM (column concatenation is bitwise-exact for every kernel in the
-//!   workspace). [`SpmmServer::serve_one`] runs one request at once as a
+//!   coalesces queued requests that share a pool key into one batch,
+//!   which the engine executes as one multi-operand SpMM
+//!   ([`SpmmEngine::execute_many`](dtc_core::SpmmEngine::execute_many):
+//!   bitwise each request's solo result, since every kernel in the
+//!   workspace computes output columns independently).
+//!   [`SpmmServer::serve_one`] runs one request at once as a
 //!   batch of its own. With [`ServeConfig::verify`] set, each batch
 //!   replays the dtc-verify lints over the engine's lowered trace first.
 //!

@@ -4,11 +4,12 @@
 //! operand). Admission bounds the queue ([`DtcError::Admission`] when
 //! full). [`SpmmServer::serve_next_batch`], the queue's only consumer,
 //! drains it in batches, coalescing every queued request that shares the
-//! front request's [`PoolKey`] into **one** N-column SpMM: the dense
-//! operands are concatenated column-wise, the prepared engine executes
-//! once, and the output is split back per request. Column-wise
-//! concatenation is numerically free — every SpMM kernel in the workspace
-//! computes output columns independently — so a coalesced result is
+//! front request's [`PoolKey`] into **one** multi-operand SpMM: the
+//! dense operands move into [`SpmmEngine::execute_many`], which the DTC
+//! engine serves from one pass over its plan, writing each request's
+//! output in place (in that request's operand allocation) with nothing
+//! concatenated or split. Every SpMM kernel in the workspace computes
+//! output columns independently, so a coalesced result is
 //! bitwise-identical to serving the request alone (pinned by
 //! `tests/serve.rs`). [`SpmmServer::serve_one`] bypasses the queue and
 //! runs its request as a batch of one.
@@ -168,8 +169,12 @@ impl SpmmServer {
     /// sparse cols) or the queue is at `max_queue`.
     pub fn admit(&self, req: Request) -> Result<u64, DtcError> {
         let key = pool_key(&req)?;
+        // The counters are bumped after the guard drops: a first bump
+        // registers its counter under the telemetry registry lock, and
+        // `serve.queue` is a leaf of the workspace lock graph.
         let mut queue = self.queue.lock().unwrap();
         if queue.len() >= self.cfg.max_queue {
+            drop(queue);
             crate::telemetry::requests_rejected().incr();
             return Err(DtcError::Admission {
                 reason: format!("queue full ({} requests)", self.cfg.max_queue),
@@ -178,13 +183,14 @@ impl SpmmServer {
         // Numbered under the queue lock, so queue order is sequence order.
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
         queue.push_back(Pending { seq, req, key });
+        drop(queue);
         crate::telemetry::requests_admitted().incr();
         Ok(seq)
     }
 
     /// Drains and executes one batch: the front request plus every queued
-    /// request sharing its pool key (up to `max_batch`), coalesced into a
-    /// single N-column SpMM. Returns `None` when the queue is empty.
+    /// request sharing its pool key (up to `max_batch`), executed as one
+    /// multi-operand SpMM. Returns `None` when the queue is empty.
     ///
     /// On error the whole batch fails (the requests are consumed); the
     /// engine-prepare, verify-gate and execution errors all surface here.
@@ -220,45 +226,24 @@ impl SpmmServer {
         })?;
         let engine = fetched.engine;
 
-        // Column-wise concatenation of every request's dense operand.
-        let rows = head.b.rows();
-        let widths: Vec<usize> = batch.iter().map(|p| p.req.b.cols()).collect();
-        let total_cols: usize = widths.iter().sum();
-        let mut b = DenseMatrix::zeros(rows, total_cols);
-        for r in 0..rows {
-            let out = b.row_mut(r);
-            let mut at = 0;
-            for p in &batch {
-                out[at..at + p.req.b.cols()].copy_from_slice(p.req.b.row(r));
-                at += p.req.b.cols();
-            }
-        }
-
         // The per-request safety gate: trace lints at this batch width.
+        let total_cols: usize = batch.iter().map(|p| p.req.b.cols()).sum();
         if self.cfg.verify {
             reject(engine.as_ref(), &trace_errors(engine.as_ref(), total_cols, &head.config))?;
         }
 
-        let c = engine.execute(&b)?;
-
-        // Split the batched output back per request.
-        let mut responses = Vec::with_capacity(batch.len());
-        let mut at = 0;
-        for p in &batch {
-            let w = p.req.b.cols();
-            let mut own = DenseMatrix::zeros(c.rows(), w);
-            for r in 0..c.rows() {
-                own.row_mut(r).copy_from_slice(&c.row(r)[at..at + w]);
-            }
-            at += w;
-            responses.push(Response { seq: p.seq, tenant: p.req.tenant, c: own });
-        }
-        Ok(BatchOutcome {
-            responses,
-            batch_size: batch.len(),
-            batch_cols: total_cols,
-            pool_hit: fetched.hit,
-        })
+        // The operands move into the engine, which may hand each output
+        // back in its operand's allocation.
+        let batch_size = batch.len();
+        let (owners, operands): (Vec<(u64, usize)>, Vec<DenseMatrix>) =
+            batch.into_iter().map(|p| ((p.seq, p.req.tenant), p.req.b)).unzip();
+        let outputs = engine.execute_many(operands)?;
+        let responses = owners
+            .into_iter()
+            .zip(outputs)
+            .map(|((seq, tenant), c)| Response { seq, tenant, c })
+            .collect();
+        Ok(BatchOutcome { responses, batch_size, batch_cols: total_cols, pool_hit: fetched.hit })
     }
 
     /// Tears down every cached artifact derived from the matrix identified

@@ -12,7 +12,9 @@
 # every response against a direct `prepare(..).execute(..)` and exits 1
 # on a mismatch, exits 2 on a metric that is not finite or not measured,
 # and the awk filter fails the step when `serve.pool.hit_ratio` is
-# missing or below 0.9.
+# missing or below 0.9, or when `serve.admit.us` is missing or above 20:
+# admission reads each matrix's memoised checksums, so keying a request
+# must not rehash its matrix.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,13 +45,17 @@ cargo run --release -q -p dtc-bench --bin tracelint -- --smoke
 echo "== fuzz --smoke"
 cargo run --release -q -p dtc-bench --bin fuzz -- --smoke
 
-echo "== perfbench serve_hot --trace 1 (served-vs-direct bitwise gate; pool hit-ratio floor 0.9)"
+echo "== perfbench serve_hot --trace 1 (served-vs-direct bitwise gate; pool hit-ratio floor 0.9; admit at most 20 us)"
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload serve_hot --seed 1 --seconds 2 --trace 1 \
     | awk '{ print }
            $1 == "metric" && $2 == "serve.pool.hit_ratio" { r = $3 }
+           $1 == "metric" && $2 == "serve.admit.us" { a = $3 }
            END { if (r !~ /^[0-9.]+$/ || r + 0 < 0.9) {
                      print "serve.pool.hit_ratio is " (r == "" ? "missing" : r) "; floor 0.9"
+                     exit 1 }
+                 if (a !~ /^[0-9.]+$/ || a + 0 > 20) {
+                     print "serve.admit.us is " (a == "" ? "missing" : a) "; bound 20"
                      exit 1 } }'
 
 echo "== schedcheck --smoke (schedule-space model check; lock-order audit)"

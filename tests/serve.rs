@@ -10,7 +10,7 @@ use dtc_spmm::baselines::{CusparseSpmm, SpmmEngine, SputnikSpmm, TcgnnSpmm};
 use dtc_spmm::core::{
     conversion_cache_stats, prepare, DtcError, DtcSpmm, EngineConfig, EngineKind, KeyMaterial,
 };
-use dtc_spmm::formats::{gen, CsrMatrix, DenseMatrix, FormatError};
+use dtc_spmm::formats::{gen, CsrMatrix, DenseMatrix, FormatError, MatrixDelta};
 use dtc_spmm::serve::{EnginePool, PoolConfig, PoolKey, Request, ServeConfig, SpmmServer};
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -174,7 +174,7 @@ fn trait_dispatch_is_bitwise_identical() {
 
 /// Batched (coalesced) serving must be bitwise-equal to serving each
 /// request alone, at any thread count: output columns are independent, so
-/// concatenating operands is numerically free.
+/// serving every operand from one pass is numerically free.
 #[test]
 fn batched_serving_is_bitwise_equal_at_any_thread_count() {
     let _serial = COUNTER_LOCK.lock().unwrap();
@@ -308,6 +308,54 @@ fn concurrent_serve_one_answers_every_caller_and_leaves_the_queue_alone() {
     assert_eq!(outcome.responses[0].seq, queued_seq);
     let want = direct.execute(&dense_for(&a, 4, queued_salt)).unwrap();
     assert_eq!(bits(&outcome.responses[0].c), bits(&want));
+}
+
+/// A matrix replaced through `Arc::make_mut` after admission keys afresh:
+/// the replacement carries its own checksums, never the memo of the value
+/// it replaced, whether `make_mut` copied a matrix a queued request still
+/// shares or reused one the caller held alone.
+#[test]
+fn matrix_replaced_through_make_mut_keys_afresh() {
+    let _serial = COUNTER_LOCK.lock().unwrap();
+    let config = EngineConfig::default();
+    let server = SpmmServer::new(ServeConfig::default());
+    let req = |m: &Arc<CsrMatrix>, salt: usize| Request {
+        tenant: salt,
+        kind: EngineKind::Dtc,
+        config: config.clone(),
+        matrix: Arc::clone(m),
+        b: dense_for(m, 4, salt),
+    };
+    let mut m = Arc::new(gen::uniform(64, 64, 400, 0x3D17));
+    for (salt, shared) in [(1, true), (2, false)] {
+        server.admit(req(&m, salt)).unwrap();
+        if !shared {
+            server.serve_next_batch().expect("one request queued").expect("batch");
+        }
+        let before = KeyMaterial::of(&m);
+        let mut delta = MatrixDelta::new();
+        delta.insert(salt, salt, 100.0 + salt as f32);
+        let edited = delta.apply_to_csr(&m).unwrap();
+        let reference = edited.clone();
+        let fresh = KeyMaterial::of(&reference);
+        assert_ne!(fresh, before);
+        *Arc::make_mut(&mut m) = edited;
+
+        let seq = server.admit(req(&m, salt + 10)).unwrap();
+        let mut served = None;
+        while let Some(outcome) = server.serve_next_batch() {
+            let outcome = outcome.expect("batch");
+            served = served.or(outcome.responses.into_iter().find(|r| r.seq == seq));
+        }
+        let served = served.expect("the edited request was answered");
+        let want = prepare(EngineKind::Dtc, &config, &reference)
+            .unwrap()
+            .execute(&dense_for(&reference, 4, salt + 10))
+            .unwrap();
+        assert_eq!(bits(&served.c), bits(&want), "edited request served a stale engine");
+        assert_eq!(server.pool().invalidate_material(&fresh), 1, "edited request keyed stale");
+        assert_eq!(server.pool().invalidate_material(&before), 1);
+    }
 }
 
 /// Admission control: a full queue rejects with `DtcError::Admission` and
