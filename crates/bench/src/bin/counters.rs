@@ -79,7 +79,8 @@ fn main() {
 }
 
 /// Every cache in the stack: hit/miss totals of the process-wide
-/// conversion cache and the per-engine trace caches.
+/// execute-plan cache (`core.cache.conversion.*`, printed as
+/// "conversion") and the per-engine trace caches.
 fn dump_caches() {
     println!("\n### caches");
     let c = |name: &str| dtc_telemetry::counter(name).get();

@@ -4,7 +4,7 @@
 //! duplicate triplets, power-law extremes, IEEE special values,
 //! window-boundary edit scripts), runs each one differentially across all
 //! 12 `SpmmEngine` models, both ME-TCF conversion paths, the
-//! TCA-reordered pipeline, the conversion cache, and the
+//! TCA-reordered pipeline, the plan cache, and the
 //! in-place delta-update path, and adjudicates with the `dtc-fuzz`
 //! oracles (exact f64 reference, TF32 error envelope, `dtc-verify` lint
 //! replay). Failures are shrunk to minimal reproducers.

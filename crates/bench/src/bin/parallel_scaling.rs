@@ -1,7 +1,7 @@
 //! Thread-scaling sweep for the `dtc-par` execution layer.
 //!
-//! Runs the full host-side pipeline — ME-TCF conversion, Selector decision,
-//! exact kernel execution — end to end on a representative matrix under a
+//! Runs the full host-side pipeline — execute-plan build, exact kernel
+//! execution — end to end on a representative matrix under a
 //! range of `dtc_par` thread counts, and writes the speedup curve (relative
 //! to the single-thread baseline) to `BENCH_parallel.json`.
 //!
@@ -19,8 +19,8 @@
 //!   phase would take on a host with one core per worker.
 //!
 //! Per-shard steal counts and the busy-time imbalance ratio come from the
-//! `par.shard.*` telemetry. The conversion cache is cleared before every
-//! repetition so each run pays the real conversion cost; a separate pair of
+//! `par.shard.*` telemetry. The plan cache is cleared before every
+//! repetition so each run pays the real plan build; a separate pair of
 //! timings demonstrates the cache instead (second build must be ~free).
 //!
 //! `--smoke` runs a reduced sweep (threads 1 and 4, smaller matrix), skips
@@ -70,7 +70,7 @@ fn timed_phase<R>(f: impl FnOnce() -> R) -> (R, f64, f64) {
     (r, wall_ms, (wall_ms - par_wall_ms + par_crit_ms).max(0.0))
 }
 
-/// One full pipeline run (cold conversion): returns the result matrix and
+/// One full pipeline run (cold plan build): returns the result matrix and
 /// per-phase `(wall, crit)` pairs for build and execute.
 fn run_pipeline(a: &CsrMatrix, b: &DenseMatrix) -> (DenseMatrix, [f64; 2], [f64; 2]) {
     clear_conversion_cache();
@@ -195,8 +195,8 @@ fn main() {
         return;
     }
 
-    // Conversion-cache demonstration: a repeated build over the same matrix
-    // must skip conversion entirely (observable via the miss counter).
+    // Plan-cache demonstration: a repeated build over the same matrix must
+    // skip the plan build entirely (observable via the miss counter).
     clear_conversion_cache();
     let (_, misses0) = conversion_cache_stats();
     let t0 = Instant::now();
@@ -206,7 +206,7 @@ fn main() {
     let _second = DtcSpmm::new(&a);
     let warm_ms = t1.elapsed().as_secs_f64() * 1e3;
     let (_, misses1) = conversion_cache_stats();
-    assert_eq!(misses1, misses0 + 1, "second build must not re-convert");
+    assert_eq!(misses1, misses0 + 1, "second build must not rebuild the plan");
     eprintln!("  cache: cold build {cold_ms:.1} ms, warm build {warm_ms:.1} ms");
 
     let max_speedup = samples.iter().map(|s| serial_ms / s.total_ms).fold(0.0f64, f64::max);

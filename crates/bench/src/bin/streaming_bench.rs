@@ -35,8 +35,10 @@ use std::time::Instant;
 /// Interleaved (delta, rebuild) timing pairs per point. The gate reads
 /// the median of the per-pair ratios: a stall on a loaded two-core host
 /// lands in one pair, not in one path's best-of, so one odd rep cannot
-/// decide a hard assert.
+/// decide a hard assert. Smoke points are ~10× cheaper and noisier, so
+/// they take more pairs.
 const REPS: usize = 21;
+const SMOKE_REPS: usize = 81;
 
 /// One sweep point: median ms per path, and the median per-pair speedup.
 struct Point {
@@ -107,18 +109,21 @@ fn assert_bitwise(a: &CsrMatrix, delta: &MatrixDelta, policy: &DeltaPolicy) {
 
 /// Times one edit-batch size: the delta path (in-place `apply_delta` on a
 /// prepared engine) against the rebuild path (edited-CSR construction
-/// plus a cold `DtcSpmm::new`), in [`REPS`] interleaved pairs. The engine
-/// the delta path patches is rebuilt untimed before every pair, since
-/// `apply_delta` consumes the pre-edit state.
-fn sweep_point(a: &CsrMatrix, k: usize, policy: &DeltaPolicy) -> Point {
+/// plus a cold `DtcSpmm::new` and its ME-TCF), in `reps` interleaved
+/// pairs. The engine the delta path patches is rebuilt untimed before
+/// every pair, since `apply_delta` consumes the pre-edit state, and its
+/// ME-TCF is built untimed too: both paths then end holding ME-TCF, and
+/// the delta path is charged only for patching it.
+fn sweep_point(a: &CsrMatrix, k: usize, policy: &DeltaPolicy, reps: usize) -> Point {
     let delta = make_delta(a, k, 0x57AE_A41B ^ k as u64);
     assert_bitwise(a, &delta, policy);
 
     let (mut delta_ms, mut rebuild_ms, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
     let mut reselected = false;
-    for _ in 0..REPS {
+    for _ in 0..reps {
         clear_conversion_cache();
         let mut engine = DtcSpmm::new(a);
+        std::hint::black_box(engine.metcf());
         let t0 = Instant::now();
         let outcome = engine.apply_delta(&delta, policy).expect("apply_delta");
         let d = t0.elapsed().as_secs_f64() * 1e3;
@@ -129,6 +134,7 @@ fn sweep_point(a: &CsrMatrix, k: usize, policy: &DeltaPolicy) -> Point {
         let t0 = Instant::now();
         let edited = delta.apply_to_csr(a).expect("apply_to_csr");
         let engine = DtcSpmm::new(&edited);
+        std::hint::black_box(engine.metcf());
         let r = t0.elapsed().as_secs_f64() * 1e3;
         std::hint::black_box(&engine);
 
@@ -171,14 +177,15 @@ fn main() {
     let a = uniform(rows, rows, rows * nnz_per_row, 0xD7C5_57AE);
     let windows = rows.div_ceil(16);
     let policy = DeltaPolicy::default();
+    let reps = if smoke { SMOKE_REPS } else { REPS };
     println!(
         "## streaming — {rows}x{rows}, {} nnz, {windows} windows, {} edit-batch sizes, \
-         medians of {REPS} interleaved pairs",
+         medians of {reps} interleaved pairs",
         a.nnz(),
         ks.len()
     );
 
-    let points: Vec<Point> = ks.iter().map(|&k| sweep_point(&a, k, &policy)).collect();
+    let points: Vec<Point> = ks.iter().map(|&k| sweep_point(&a, k, &policy, reps)).collect();
 
     println!("\n| windows touched | ops | delta ms | rebuild ms | speedup | reselected |");
     println!("|---|---|---|---|---|---|");
@@ -220,7 +227,7 @@ fn main() {
     let json = Json::obj(vec![
         ("bench", Json::str("streaming")),
         ("smoke", Json::bool(smoke)),
-        ("timing_reps", Json::usize(REPS)),
+        ("timing_reps", Json::usize(reps)),
         ("timing_statistic", Json::str("median of interleaved delta/rebuild pairs")),
         (
             "matrix",

@@ -1,35 +1,33 @@
-//! Keyed conversion cache: repeated pipeline builds over the same matrix
-//! reuse the ME-TCF conversion instead of recomputing it.
+//! Keyed plan cache: repeated pipeline builds over the same matrix reuse
+//! the execute plan instead of rebuilding it.
 //!
-//! The paper's §6 point is that conversion overhead amortizes across the
+//! The paper's §6 point is that preprocessing amortizes across the
 //! thousands of SpMM calls an iterative workload makes; this cache makes
-//! the host-side analogue concrete. It is one exact map keyed by the
-//! matrix's full [`KeyMaterial`] — dims, nnz, and checksums of the three
-//! CSR arrays — so a hit needs every field to match and a matrix that
-//! differs in any one of them converts fresh. Hit/miss counts live in the
+//! the host-side analogue concrete. Its entries are [`ExecPlan`]s (the
+//! host engine's only prepare-time artifact; ME-TCF is built per engine,
+//! on demand, by the simulator side). It is one exact map keyed by the
+//! working matrix's full [`KeyMaterial`] — dims, nnz, and checksums of
+//! the three CSR arrays — and the precision the plan rounds A to, so a
+//! hit needs every field to match and a matrix that differs in any one of
+//! them builds fresh. Hit/miss counts keep their historical names in the
 //! process-wide [`dtc_telemetry`] registry (`core.cache.conversion.hits` /
 //! `.misses`), read by [`conversion_cache_stats`].
+//!
+//! The map holds only immutable `Arc`s and every write is one `insert`,
+//! `remove`, `retain` or `clear`, so a panic under the lock cannot leave
+//! it half-updated: a poisoned lock is taken over, not propagated.
 
 use crate::error::DtcError;
+use crate::kernel::ExecPlan;
 use crate::telemetry::{
     conversion_cache_hits, conversion_cache_invalidations, conversion_cache_misses,
 };
-use dtc_formats::{CsrMatrix, MeTcfMatrix, BLOCK_WIDTH, WINDOW_HEIGHT};
+use dtc_formats::{CsrMatrix, MeTcfMatrix, Precision, BLOCK_WIDTH, WINDOW_HEIGHT};
 use dtc_par::hash::{fnv1a, Fnv1a};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// One cached conversion: the ME-TCF build plus the distinct-column count
-/// the L2 model needs (both derived from the same CSR walk).
-#[derive(Debug)]
-pub struct CachedConversion {
-    /// The converted matrix.
-    pub metcf: MeTcfMatrix,
-    /// Number of distinct columns of the source matrix.
-    pub distinct_cols: usize,
-}
-
-/// Matrix identity material: the conversion cache's key — and the identity
+/// Matrix identity material: the plan cache's key — and the identity
 /// the serving layer computes from each request's matrix to key its engine
 /// pool (engines themselves carry none).
 ///
@@ -160,84 +158,113 @@ impl KeyMaterial {
 /// and keeps the bookkeeping trivial).
 const CACHE_CAP: usize = 64;
 
-type ConvMap = HashMap<KeyMaterial, Arc<CachedConversion>>;
+type PlanMap = HashMap<(KeyMaterial, Precision), Arc<ExecPlan>>;
 
-static CACHE: OnceLock<Mutex<ConvMap>> = OnceLock::new();
+/// The plan map behind one lock. The process has one ([`global`]); tests
+/// also build private ones.
+#[derive(Default)]
+struct PlanCache(Mutex<PlanMap>);
 
-fn cache() -> &'static Mutex<ConvMap> {
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+impl PlanCache {
+    /// The map, locked. A poisoned lock is taken over (see the module
+    /// docs for why that is sound).
+    fn map(&self) -> MutexGuard<'_, PlanMap> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn plan_for(
+        &self,
+        a: &CsrMatrix,
+        material: &KeyMaterial,
+        precision: Precision,
+    ) -> Result<Arc<ExecPlan>, DtcError> {
+        let key = (material.clone(), precision);
+        if let Some(hit) = self.map().get(&key) {
+            conversion_cache_hits().incr();
+            return Ok(Arc::clone(hit));
+        }
+        conversion_cache_misses().incr();
+        // Build outside the lock, so other engines' lookups never wait on it.
+        let built = Arc::new(ExecPlan::from_csr(a, precision)?);
+        let mut map = self.map();
+        if map.len() >= CACHE_CAP {
+            map.clear();
+        }
+        map.insert(key, Arc::clone(&built));
+        Ok(built)
+    }
+
+    fn invalidate(&self, material: &KeyMaterial) -> usize {
+        let removed = {
+            let mut map = self.map();
+            let before = map.len();
+            map.retain(|(key, _), _| key != material);
+            before - map.len()
+        };
+        if removed > 0 {
+            conversion_cache_invalidations().add(removed as u64);
+        }
+        removed
+    }
+
+    fn clear(&self) {
+        self.map().clear();
+    }
 }
 
-/// Returns the cached conversion for `a`, converting (and inserting) on
-/// miss.
+/// The process-wide plan cache.
+fn global() -> &'static PlanCache {
+    static CACHE: OnceLock<PlanCache> = OnceLock::new();
+    CACHE.get_or_init(PlanCache::default)
+}
+
+/// Returns the cached TF32 (default-precision) execute plan of `a`,
+/// building (and inserting) it on miss. The name predates the plan cache:
+/// the cached value was once `a`'s ME-TCF conversion, which engines now
+/// build only when their simulator side asks for it.
 ///
 /// # Errors
 ///
-/// Propagates the converter's `u32` offset-overflow guard
+/// Propagates the plan's `u32` offset-overflow guard
 /// ([`DtcError::Format`]); nothing is cached on error.
-pub fn metcf_for(a: &CsrMatrix) -> Result<Arc<CachedConversion>, DtcError> {
+pub fn metcf_for(a: &CsrMatrix) -> Result<Arc<ExecPlan>, DtcError> {
     lookup(a, &KeyMaterial::of(a))
 }
 
-/// [`metcf_for`] for a caller that already holds `a`'s identity, so the
-/// matrix is keyed once per build rather than once per consumer.
-pub(crate) fn lookup(
+/// [`metcf_for`] for a caller that already holds `a`'s identity.
+pub(crate) fn lookup(a: &CsrMatrix, material: &KeyMaterial) -> Result<Arc<ExecPlan>, DtcError> {
+    plan_for(a, material, Precision::default())
+}
+
+/// The cached plan of `a` (identified by `material`) at `precision`, so
+/// the matrix is keyed once per build rather than once per consumer.
+pub(crate) fn plan_for(
     a: &CsrMatrix,
     material: &KeyMaterial,
-) -> Result<Arc<CachedConversion>, DtcError> {
-    if let Some(hit) = cache().lock().expect("conversion cache lock poisoned").get(material) {
-        conversion_cache_hits().incr();
-        return Ok(Arc::clone(hit));
-    }
-    conversion_cache_misses().incr();
-    // Convert outside the lock: conversion fans out over worker threads and
-    // other engines' lookups should not wait on it. The parallel converter
-    // packs per-range sub-matrices inside the fan-out (bit-identical to
-    // `MeTcfMatrix::from_csr`, pinned by the convert tests) — the plain
-    // `from_csr` path condenses in parallel but packed serially, which
-    // Amdahl-capped every cold engine build.
-    let built = Arc::new(CachedConversion {
-        metcf: crate::convert::convert_to_metcf_parallel(a, dtc_par::num_threads())?,
-        distinct_cols: dtc_baselines::util::distinct_col_count(a),
-    });
-    let mut c = cache().lock().expect("conversion cache lock poisoned");
-    if c.len() >= CACHE_CAP {
-        c.clear();
-    }
-    c.insert(material.clone(), Arc::clone(&built));
-    Ok(built)
+    precision: Precision,
+) -> Result<Arc<ExecPlan>, DtcError> {
+    global().plan_for(a, material, precision)
 }
 
-/// Purges the cached conversion keyed by `material`, returning the number
-/// of entries removed (0 or 1).
+/// Purges every cached plan keyed by `material` (one per precision it was
+/// built at), returning the number of entries removed.
 ///
-/// This is the conversion-cache arm of the delta-update invalidation
-/// contract: after [`crate::DtcSpmm::apply_delta`] mutates a matrix, a
-/// lookup under the pre-edit identity must miss.
+/// This is the plan-cache arm of the delta-update invalidation contract:
+/// after [`crate::DtcSpmm::apply_delta`] mutates a matrix, a lookup under
+/// the pre-edit identity must miss.
 pub fn invalidate_conversion(material: &KeyMaterial) -> usize {
-    let Some(cache) = CACHE.get() else {
-        return 0;
-    };
-    let removed = usize::from(
-        cache.lock().expect("conversion cache lock poisoned").remove(material).is_some(),
-    );
-    if removed > 0 {
-        conversion_cache_invalidations().incr();
-    }
-    removed
+    global().invalidate(material)
 }
 
-/// `(hits, misses)` of the process-wide conversion cache — a thin wrapper
-/// over the `core.cache.conversion.*` registry counters.
+/// `(hits, misses)` of the process-wide plan cache — a thin wrapper over
+/// the `core.cache.conversion.*` registry counters.
 pub fn conversion_cache_stats() -> (u64, u64) {
     (conversion_cache_hits().get(), conversion_cache_misses().get())
 }
 
 /// Empties the cache (counters are left running; tests diff them instead).
 pub fn clear_conversion_cache() {
-    if let Some(cache) = CACHE.get() {
-        cache.lock().expect("conversion cache lock poisoned").clear();
-    }
+    global().clear();
 }
 
 #[cfg(test)]
@@ -318,9 +345,38 @@ mod tests {
     #[test]
     fn cached_conversion_matches_direct() {
         let a = uniform(200, 150, 1200, 323);
-        let cached = metcf_for(&a).unwrap();
-        assert_eq!(cached.metcf, MeTcfMatrix::from_csr(&a));
-        assert_eq!(cached.distinct_cols, dtc_baselines::util::distinct_col_count(&a));
+        let direct = ExecPlan::from_csr(&a, Precision::Tf32).unwrap();
+        assert_eq!(*metcf_for(&a).unwrap(), direct);
+        assert_eq!(direct, ExecPlan::from_metcf(&MeTcfMatrix::from_csr(&a), Precision::Tf32));
+        // Each precision is its own entry.
+        let key = KeyMaterial::of(&a);
+        let fp16 = plan_for(&a, &key, Precision::Fp16).unwrap();
+        assert_eq!(*fp16, ExecPlan::from_csr(&a, Precision::Fp16).unwrap());
+        assert_ne!(*fp16, direct);
+    }
+
+    #[test]
+    fn a_poisoned_lock_is_taken_over() {
+        // A private cache, so poisoning it and clearing it cannot disturb
+        // other tests' use of the process-wide one.
+        let cache = PlanCache::default();
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = cache.map();
+                panic!("poisoning the plan-cache lock on purpose");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && cache.0.is_poisoned());
+        let a = uniform(80, 80, 300, 324);
+        let key = KeyMaterial::of(&a);
+        let lookup = || cache.plan_for(&a, &key, Precision::Tf32).unwrap();
+        let first = lookup();
+        assert!(Arc::ptr_eq(&first, &lookup()), "a warm lookup hits");
+        assert_eq!(cache.invalidate(&key), 1);
+        assert!(!Arc::ptr_eq(&first, &lookup()), "a purged entry rebuilds");
+        cache.clear();
+        assert_eq!(cache.invalidate(&key), 0);
     }
 
     #[test]

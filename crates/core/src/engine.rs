@@ -1,11 +1,12 @@
 //! The serving layer's front door: [`prepare`] builds any engine family
 //! behind the one SpMM trait, [`SpmmEngine`](dtc_baselines::SpmmEngine).
 //!
-//! All one-time costs (reordering, ME-TCF conversion, Selector
-//! simulation, baseline format builds) are paid in [`prepare`]; the
-//! returned `Box<dyn SpmmEngine>` exposes only the prepared, repeatable
-//! operations, whether it holds the DTC pipeline ([`DtcSpmm`]) or a
-//! baseline. `dtc-serve` pools engines under the request's
+//! Every one-time cost of *host execution* (reordering and the execute
+//! plan for DTC, the format build for a baseline) is paid in [`prepare`];
+//! the returned `Box<dyn SpmmEngine>` exposes only the prepared,
+//! repeatable operations, whether it holds the DTC pipeline ([`DtcSpmm`])
+//! or a baseline. A DTC engine's ME-TCF conversion and Selector run are
+//! paid by its first simulator-side call instead. `dtc-serve` pools engines under the request's
 //! [`KeyMaterial`](crate::KeyMaterial), so engines carry no identity of
 //! their own.
 
@@ -41,10 +42,13 @@ impl EngineKind {
     }
 }
 
-/// Prepares an engine of the requested family: pays every one-time cost
-/// (reorder, conversion, selection, baseline format build) now and returns
-/// the boxed prepared engine. This is the single front door `dtc-serve`
-/// builds pool entries through.
+/// Prepares an engine of the requested family: pays what executing needs
+/// (for DTC, reordering and the execute plan through the plan cache; for a
+/// baseline, its format build) now and returns the boxed prepared engine.
+/// A DTC engine defers ME-TCF conversion, the Selector and the kernel
+/// lowering to its first `trace`/`simulate` (see [`DtcSpmm`]), so a
+/// prepare that is only ever executed never pays them. This is the single
+/// front door `dtc-serve` builds pool entries through.
 ///
 /// # Errors
 ///

@@ -103,23 +103,9 @@ impl DtcKernel {
         self.distinct_cols
     }
 
-    /// Exact execute from the kernel's plan (built on first use), writing
-    /// plan row `r` to output row `perm[r]`. Dimensions are the caller's
-    /// to check.
-    pub(crate) fn execute_permuted(&self, b: &DenseMatrix, perm: Option<&[usize]>) -> DenseMatrix {
-        let plan = self.plan.get_or_init(|| ExecPlan::build(&self.metcf, self.precision));
-        plan.execute(b, self.precision, perm)
-    }
-
-    /// [`DtcKernel::execute_permuted`] against several operands in one
-    /// pass over the plan. Dimensions are the caller's to check.
-    pub(crate) fn execute_permuted_many(
-        &self,
-        bs: Vec<DenseMatrix>,
-        perm: Option<&[usize]>,
-    ) -> Vec<DenseMatrix> {
-        let plan = self.plan.get_or_init(|| ExecPlan::build(&self.metcf, self.precision));
-        plan.execute_many(bs, self.precision, perm)
+    /// The exact-execute plan, built from the ME-TCF on first use.
+    fn plan(&self) -> &ExecPlan {
+        self.plan.get_or_init(|| ExecPlan::from_metcf(&self.metcf, self.precision))
     }
 
     /// Per-block instruction mix shared by the base and balanced kernels.
@@ -193,14 +179,14 @@ impl SpmmEngine for DtcKernel {
 
     fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, FormatError> {
         check_spmm_dims(self.rows(), self.cols(), b)?;
-        Ok(self.execute_permuted(b, None))
+        Ok(self.plan().execute(b, None))
     }
 
     fn execute_many(&self, bs: Vec<DenseMatrix>) -> Result<Vec<DenseMatrix>, FormatError> {
         for b in &bs {
             check_spmm_dims(self.rows(), self.cols(), b)?;
         }
-        Ok(self.execute_permuted_many(bs, None))
+        Ok(self.plan().execute_many(bs, None))
     }
 
     fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {

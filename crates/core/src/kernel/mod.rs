@@ -8,7 +8,8 @@ pub use balanced::BalancedDtcKernel;
 pub use base::DtcKernel;
 pub use opts::KernelOpts;
 
-use dtc_formats::{DenseMatrix, MeTcfMatrix, Precision, BLOCK_WIDTH, WINDOW_HEIGHT};
+use crate::error::DtcError;
+use dtc_formats::{CsrMatrix, DenseMatrix, FormatError, MeTcfMatrix, Precision, WINDOW_HEIGHT};
 use std::cell::Cell;
 
 thread_local! {
@@ -22,88 +23,109 @@ thread_local! {
 }
 
 /// The host analogue of the paper's *index precomputing* (§4.4): every
-/// per-non-zero quantity the exact execute needs, resolved once per kernel.
+/// per-non-zero quantity the exact execute needs, resolved once.
 ///
-/// Row `r` of the ME-TCF matrix owns `col[row_ptr[r]..row_ptr[r + 1]]`
-/// (the B row each non-zero reads) and the matching `val` (its A value,
-/// already rounded to the kernel's precision). Within a row the entries
-/// keep the ME-TCF (block, entry) order, which is the order the block walk
-/// added them to that row's output, so each output element sees the same
-/// sequence of f32 adds.
+/// Row `r` owns `col[row_ptr[r]..row_ptr[r + 1]]` (the B row each
+/// non-zero reads) and the matching `val` (its A value, already rounded to
+/// the plan's precision). The entries are the CSR's own, in CSR order:
+/// within a row that is ascending column order, which is also the order
+/// the ME-TCF block walk visits them (a window's condensed columns are
+/// sorted, and its blocks take them eight at a time), so each output
+/// element sees the same sequence of f32 adds as the Tensor-Core kernel.
 ///
-/// Size: 8 B per non-zero, 4 B per row, and one shard weight per 16-row
+/// The plan also keeps the unrounded values, so the matrix it was built
+/// from can be recovered exactly: an engine that holds only its plan
+/// converts that matrix to ME-TCF when its simulator side is first used.
+///
+/// Size: 12 B per non-zero, 4 B per row, and one shard weight per 16-row
 /// window.
 #[derive(Debug, Clone)]
-pub(crate) struct ExecPlan {
+pub struct ExecPlan {
+    cols: usize,
+    precision: Precision,
     row_ptr: Vec<u32>,
     col: Vec<u32>,
     val: Vec<f32>,
-    /// `MeTcfMatrix::window_nnz_weights`, kept for every execute's shard
-    /// cuts.
+    raw: Vec<f32>,
+    /// Per 16-row window its non-zeros plus one, for every execute's
+    /// shard cuts.
     window_weights: Vec<u64>,
 }
 
+/// Bitwise equality: every array, floats by their bit patterns (so a NaN
+/// value equals itself).
+impl PartialEq for ExecPlan {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (self.cols, self.precision, &self.row_ptr, &self.col, &self.window_weights)
+            == (other.cols, other.precision, &other.row_ptr, &other.col, &other.window_weights)
+            && bits(&self.val) == bits(&other.val)
+            && bits(&self.raw) == bits(&other.raw)
+    }
+}
+
 impl ExecPlan {
-    /// Resolves `metcf` into a row-major plan, rounding A to `precision`
-    /// once here instead of on every execute. Both passes fan out one task
-    /// per window: a window's rows, and so their plan entries, are its own.
-    pub(crate) fn build(metcf: &MeTcfMatrix, precision: Precision) -> ExecPlan {
-        let rows = metcf.rows();
-        let window_weights = metcf.window_nnz_weights();
-        // Pass 1: entries per row.
-        let mut row_len = vec![0u32; rows];
-        dtc_par::par_chunks_mut_weighted(
-            &mut row_len,
-            WINDOW_HEIGHT,
-            &window_weights,
-            |w, lens| {
-                for t in metcf.window_blocks(w) {
-                    for &id in metcf.block_entries(t).0 {
-                        lens[id as usize / BLOCK_WIDTH] += 1;
-                    }
-                }
-            },
-        );
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0u32);
-        for len in row_len {
-            row_ptr.push(row_ptr[row_ptr.len() - 1] + len);
+    /// The plan of `a` at `precision`: its column indices copied, its
+    /// values copied and rounded once here instead of on every execute.
+    ///
+    /// # Errors
+    ///
+    /// [`DtcError::Format`] ([`FormatError::IndexOverflow`]) when `a` has
+    /// more non-zeros than the plan's `u32` row offsets address.
+    pub fn from_csr(a: &CsrMatrix, precision: Precision) -> Result<ExecPlan, DtcError> {
+        Self::from_parts(
+            a.cols(),
+            a.row_ptr(),
+            a.col_idx().to_vec(),
+            a.values().to_vec(),
+            precision,
+        )
+    }
+
+    /// The plan of an ME-TCF matrix, over the CSR arrays it reconstructs
+    /// ([`MeTcfMatrix::csr_arrays`]): bitwise the plan of the CSR it was
+    /// converted from.
+    pub fn from_metcf(metcf: &MeTcfMatrix, precision: Precision) -> ExecPlan {
+        let (row_ptr, col, raw) = metcf.csr_arrays();
+        Self::from_parts(metcf.cols(), &row_ptr, col, raw, precision)
+            .expect("ME-TCF offsets are u32, so its non-zeros fit the plan's")
+    }
+
+    fn from_parts(
+        cols: usize,
+        row_ptr: &[usize],
+        col: Vec<u32>,
+        raw: Vec<f32>,
+        precision: Precision,
+    ) -> Result<ExecPlan, DtcError> {
+        let nnz = raw.len();
+        if u32::try_from(nnz).is_err() {
+            return Err(DtcError::Format(FormatError::IndexOverflow { what: "nnz", count: nnz }));
         }
-        // Pass 2: each window scatters its entries in (block, entry) order
-        // into its own segment, so each row's entries land in the order
-        // the block walk visits them.
-        let nnz = metcf.nnz();
-        let (mut col, mut val) = (vec![0u32; nnz], vec![0f32; nnz]);
-        let mut segments = Vec::with_capacity(metcf.num_windows());
-        let (mut col_rest, mut val_rest) = (col.as_mut_slice(), val.as_mut_slice());
-        for w in 0..metcf.num_windows() {
-            let len = (row_ptr[((w + 1) * WINDOW_HEIGHT).min(rows)] - row_ptr[w * WINDOW_HEIGHT])
-                as usize;
-            let (c, c_rest) = std::mem::take(&mut col_rest).split_at_mut(len);
-            let (v, v_rest) = std::mem::take(&mut val_rest).split_at_mut(len);
-            (col_rest, val_rest) = (c_rest, v_rest);
-            segments.push((c, v));
-        }
-        dtc_par::par_chunks_mut_weighted(&mut segments, 1, &window_weights, |w, segment| {
-            let (col, val) = &mut segment[0];
-            let first = w * WINDOW_HEIGHT;
-            let mut cursor = [0usize; WINDOW_HEIGHT];
-            for (k, c) in cursor.iter_mut().enumerate().take(rows - first) {
-                *c = (row_ptr[first + k] - row_ptr[first]) as usize;
-            }
-            for t in metcf.window_blocks(w) {
-                let cols = metcf.block_cols(t);
-                let (ids, vals) = metcf.block_entries(t);
-                for (&id, &v) in ids.iter().zip(vals) {
-                    let at = &mut cursor[id as usize / BLOCK_WIDTH];
-                    col[*at] = cols[id as usize % BLOCK_WIDTH];
-                    val[*at] = v;
-                    *at += 1;
-                }
-            }
-            precision.round_slice(val);
-        });
-        ExecPlan { row_ptr, col, val, window_weights }
+        // Every offset is at most `nnz`, which fits `u32` (checked above).
+        let row_ptr: Vec<u32> = row_ptr.iter().map(|&p| p as u32).collect();
+        let rows = row_ptr.len() - 1;
+        let window_weights = (0..rows.div_ceil(WINDOW_HEIGHT))
+            .map(|w| {
+                let (lo, hi) = (w * WINDOW_HEIGHT, ((w + 1) * WINDOW_HEIGHT).min(rows));
+                u64::from(row_ptr[hi] - row_ptr[lo]) + 1
+            })
+            .collect();
+        let mut val = Vec::new();
+        precision.round_concat_into(&[&raw], &mut val);
+        Ok(ExecPlan { cols, precision, row_ptr, col, val, raw, window_weights })
+    }
+
+    /// The matrix this plan was built from, bit for bit.
+    pub(crate) fn to_csr(&self) -> CsrMatrix {
+        let row_ptr = self.row_ptr.iter().map(|&p| p as usize).collect();
+        CsrMatrix::from_parts(self.rows(), self.cols, row_ptr, self.col.clone(), self.raw.clone())
+            .expect("a plan holds a canonical CSR's arrays")
+    }
+
+    /// Rows of the planned matrix.
+    pub(crate) fn rows(&self) -> usize {
+        self.row_ptr.len() - 1
     }
 
     /// Exact execute: precision-rounded multiply, FP32 accumulate — the
@@ -120,14 +142,9 @@ impl ExecPlan {
     /// nnz-weighted cuts. Every task writes its own rows, so the result is
     /// bit-identical for any thread count (see DESIGN.md, "Parallel host
     /// substrate").
-    pub(crate) fn execute(
-        &self,
-        b: &DenseMatrix,
-        precision: Precision,
-        perm: Option<&[usize]>,
-    ) -> DenseMatrix {
+    pub(crate) fn execute(&self, b: &DenseMatrix, perm: Option<&[usize]>) -> DenseMatrix {
         let mut staged = STAGED_B.take();
-        precision.round_concat_into(&[b.as_slice()], &mut staged);
+        self.precision.round_concat_into(&[b.as_slice()], &mut staged);
         let mut c = [DenseMatrix::zeros(self.rows(), b.cols())];
         self.run(&staged, b.rows(), &mut c, perm);
         STAGED_B.set(staged);
@@ -146,13 +163,12 @@ impl ExecPlan {
     pub(crate) fn execute_many(
         &self,
         bs: Vec<DenseMatrix>,
-        precision: Precision,
         perm: Option<&[usize]>,
     ) -> Vec<DenseMatrix> {
         let (rows, b_rows) = (self.rows(), bs.first().map_or(0, DenseMatrix::rows));
         let mut staged = STAGED_B.take();
         let srcs: Vec<&[f32]> = bs.iter().map(DenseMatrix::as_slice).collect();
-        precision.round_concat_into(&srcs, &mut staged);
+        self.precision.round_concat_into(&srcs, &mut staged);
         let mut cs: Vec<DenseMatrix> = bs
             .into_iter()
             .map(|b| {
@@ -165,10 +181,6 @@ impl ExecPlan {
         self.run(&staged, b_rows, &mut cs, perm);
         STAGED_B.set(staged);
         cs
-    }
-
-    fn rows(&self) -> usize {
-        self.row_ptr.len() - 1
     }
 
     /// Writes every output in `cs` from its rounded operand. `staged`
@@ -297,7 +309,7 @@ mod tests {
     use crate::{DtcSpmm, EngineConfig, KernelChoice, SpmmEngine};
     use dtc_formats::gen::{community, power_law};
     use dtc_formats::tf32::TF32_UNIT_ROUNDOFF;
-    use dtc_formats::CsrMatrix;
+    use dtc_formats::BLOCK_WIDTH;
 
     /// The block-order execute walk the plan replaced, with A and B both
     /// rounded at every multiply-add, one serial pass over the windows: the
@@ -488,11 +500,45 @@ mod tests {
     }
 
     #[test]
+    fn plan_from_csr_is_bitwise_plan_from_metcf() {
+        // The plan built straight from the CSR equals the one built over
+        // ME-TCF's reconstructed arrays, so the (block, entry) order the
+        // Tensor-Core walk adds in is CSR order: checked on empty rows and
+        // windows, special values and every precision.
+        let full = community(300, 280, 8, 10.0, 0.85, 18);
+        let hostile = hostile_b(300, 280);
+        let kept: Vec<_> = full
+            .iter()
+            .filter(|&(r, _, _)| r != 5 && !(32..48).contains(&r))
+            .map(|(r, c, _)| (r, c, hostile.get(r, c)))
+            .collect();
+        let empty = CsrMatrix::from_triplets(40, 24, &[]).unwrap();
+        for a in [
+            CsrMatrix::from_triplets(300, 280, &kept).unwrap(),
+            power_law(97, 211, 5.0, 2.2, 19),
+            empty,
+        ] {
+            let metcf = MeTcfMatrix::from_csr(&a);
+            for precision in [Precision::Tf32, Precision::Fp16, Precision::Bf16] {
+                let plan = ExecPlan::from_csr(&a, precision).unwrap();
+                assert_eq!(plan, ExecPlan::from_metcf(&metcf, precision), "{precision:?}");
+                let back = plan.to_csr();
+                assert!(back.row_ptr() == a.row_ptr() && back.col_idx() == a.col_idx());
+                assert!(back
+                    .values()
+                    .iter()
+                    .zip(a.values())
+                    .all(|(x, y)| x.to_bits() == y.to_bits()));
+            }
+        }
+    }
+
+    #[test]
     fn exec_plan_matches_reference() {
         let a = power_law(100, 100, 6.0, 2.2, 51);
         let metcf = MeTcfMatrix::from_csr(&a);
         let b = DenseMatrix::from_fn(100, 16, |r, c| ((r + c) % 8) as f32 * 0.5);
-        let got = ExecPlan::build(&metcf, Precision::Tf32).execute(&b, Precision::Tf32, None);
+        let got = ExecPlan::from_metcf(&metcf, Precision::Tf32).execute(&b, None);
         let want = a.spmm_reference(&b).unwrap();
         assert!(got.max_abs_diff(&want) < 50.0 * TF32_UNIT_ROUNDOFF);
     }

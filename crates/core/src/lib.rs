@@ -60,7 +60,7 @@ pub use cache::{
 pub use config::EngineConfig;
 pub use engine::{prepare, EngineKind};
 pub use error::DtcError;
-pub use kernel::{BalancedDtcKernel, DtcKernel, KernelOpts};
+pub use kernel::{BalancedDtcKernel, DtcKernel, ExecPlan, KernelOpts};
 pub use pipeline::{DeltaOutcome, DeltaPolicy, DtcSpmm, DtcSpmmBuilder};
 pub use selector::{KernelChoice, Selector, SelectorDecision};
 pub use session::{AmortizationReport, EngineRecommendation, IterativeSpmm, IterativeSpmmBuilder};

@@ -1,13 +1,18 @@
 //! The end-to-end DTC-SpMM pipeline (Fig 4): offline TCU-Cache-Aware
 //! reordering → ME-TCF conversion → simulation-based selection → runtime
 //! kernel.
+//!
+//! On the host only the execute plan is needed to compute C, so a build
+//! pays reordering and the plan (through the plan cache) and nothing else;
+//! ME-TCF, the Selector and the lowered kernel, which only the simulator
+//! reads, are built the first time something asks for them.
 
 use crate::cache::KeyMaterial;
 use crate::config::EngineConfig;
 use crate::error::DtcError;
-use crate::kernel::{BalancedDtcKernel, DtcKernel, KernelOpts};
+use crate::kernel::{BalancedDtcKernel, DtcKernel, ExecPlan, KernelOpts};
 use crate::selector::{KernelChoice, Selector, SelectorDecision};
-use dtc_baselines::util::check_spmm_dims;
+use dtc_baselines::util::{check_spmm_dims, distinct_col_count};
 use dtc_baselines::SpmmEngine;
 use dtc_formats::{
     CsrMatrix, DeltaReport, DenseMatrix, FormatError, MatrixDelta, MeTcfMatrix, Precision,
@@ -16,7 +21,7 @@ use dtc_reorder::{Reorderer, TcaReorderer};
 use dtc_sim::{Device, KernelTrace};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Trace-cache key: (N, device fingerprint, record_b_addrs).
 type TraceKey = (usize, u64, bool);
@@ -109,24 +114,30 @@ impl DtcSpmmBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the matrix exceeds ME-TCF's `u32` offset range (more than
-    /// `u32::MAX` non-zeros).
+    /// Panics if the matrix exceeds the execute plan's `u32` offset range
+    /// (more than `u32::MAX` non-zeros).
     pub fn build(self, a: &CsrMatrix) -> DtcSpmm {
         self.try_build(a).expect("pipeline build failed")
     }
 
-    /// Fallible pipeline build.
+    /// Fallible pipeline build: reorders (when enabled) and takes the
+    /// working matrix's execute plan from the process-wide
+    /// [`crate::cache`], so rebuilding an engine over a structurally
+    /// identical matrix at the same precision is an `Arc` clone
+    /// (observable via [`crate::conversion_cache_stats`]).
     ///
-    /// ME-TCF conversion goes through the process-wide [`crate::cache`]:
-    /// rebuilding an engine over a structurally identical matrix reuses the
-    /// previous conversion (observable via
-    /// [`crate::conversion_cache_stats`]).
+    /// Nothing else is paid here: ME-TCF conversion, the Selector's
+    /// makespan simulation and the kernel lowering are deferred to the
+    /// engine's first simulator-side call (see [`DtcSpmm`]). The
+    /// `pipeline.build` span keeps one child per phase: `reorder`,
+    /// `convert` (CSR → plan, or a cache hit), `select` and `lower` (both
+    /// only defer their work).
     ///
     /// # Errors
     ///
-    /// Returns [`DtcError::Format`] when the matrix cannot be packed into
-    /// ME-TCF (e.g. [`dtc_formats::FormatError::IndexOverflow`] past the
-    /// `u32` offset range).
+    /// Returns [`DtcError::Format`] when the matrix cannot be planned
+    /// ([`dtc_formats::FormatError::IndexOverflow`] past the `u32` offset
+    /// range).
     pub fn try_build(self, a: &CsrMatrix) -> Result<DtcSpmm, DtcError> {
         let _build = dtc_telemetry::span("pipeline.build");
         crate::telemetry::pipeline_builds().incr();
@@ -142,24 +153,17 @@ impl DtcSpmmBuilder {
             }
         };
         let working_key = if perm.is_some() { KeyMaterial::of(&working) } else { key.clone() };
-        let converted = {
+        let plan = {
             let _phase = dtc_telemetry::span("convert");
-            crate::cache::lookup(&working, &working_key)?
+            crate::cache::plan_for(&working, &working_key, self.config.precision)?
         };
-        let metcf = converted.metcf.clone();
-        let distinct = converted.distinct_cols;
-        let decision = {
-            let _phase = dtc_telemetry::span("select");
-            self.config.selector.decide(&metcf, &self.config.device)
-        };
-        let choice = self.config.force.unwrap_or(decision.choice);
+        // The Selector (or `force`) is resolved when the engine is lowered.
+        drop(dtc_telemetry::span("select"));
         let _phase = dtc_telemetry::span("lower");
-        let kernel = build_kernel(choice, metcf, distinct, &self.config);
         Ok(DtcSpmm {
             perm,
-            kernel,
-            decision,
-            choice,
+            plan: OnceLock::from(plan),
+            lowered: OnceLock::new(),
             key,
             working_key,
             config: self.config,
@@ -169,7 +173,7 @@ impl DtcSpmmBuilder {
 }
 
 /// Lowers the chosen runtime kernel over an ME-TCF build (shared by the
-/// cold pipeline and the delta-update path).
+/// lazy cell and the delta-update path).
 fn build_kernel(
     choice: KernelChoice,
     metcf: MeTcfMatrix,
@@ -234,7 +238,7 @@ impl DtcAnyKernel {
         }
     }
 
-    /// The base kernel, whose ME-TCF and execute plan both variants share.
+    /// The base kernel, whose ME-TCF both variants share.
     fn base(&self) -> &DtcKernel {
         match self {
             DtcAnyKernel::Base(k) => k,
@@ -243,25 +247,54 @@ impl DtcAnyKernel {
     }
 }
 
-/// The assembled DTC-SpMM engine: holds the (possibly reordered) ME-TCF
-/// matrix, the Selector decision, and the chosen runtime kernel.
+/// The simulator's side of an engine: ME-TCF, the Selector decision and
+/// the runtime kernel lowered over it.
+#[derive(Debug)]
+struct Lowered {
+    decision: SelectorDecision,
+    choice: KernelChoice,
+    kernel: DtcAnyKernel,
+}
+
+impl Lowered {
+    /// Runs the Selector over `metcf` (unless `config` forces a kernel's
+    /// choice, which still records the decision) and lowers the kernel.
+    fn new(metcf: MeTcfMatrix, distinct: usize, config: &EngineConfig) -> Lowered {
+        let decision = config.selector.decide(&metcf, &config.device);
+        let choice = config.force.unwrap_or(decision.choice);
+        Lowered { decision, choice, kernel: build_kernel(choice, metcf, distinct, config) }
+    }
+}
+
+/// The assembled DTC-SpMM engine: the (possibly reordered) matrix's
+/// execute plan, and — built on first use — its ME-TCF, the Selector
+/// decision and the chosen runtime kernel.
+///
+/// Host execution needs only the plan, so `rows`, `cols`, `nnz`,
+/// `execute` and `execute_many` never build the rest; `metcf`,
+/// `decision`, `choice`, `name`, `trace`/`simulate` and `apply_delta`
+/// build it once per engine, converting the plan's matrix exactly as an
+/// eager pipeline would (each such build counts in `core.metcf.builds`).
 ///
 /// `execute` returns the output in the *original* row order — reordering is
 /// internal, exactly like the real library.
 #[derive(Debug)]
 pub struct DtcSpmm {
     perm: Option<Vec<usize>>,
-    kernel: DtcAnyKernel,
-    decision: SelectorDecision,
-    choice: KernelChoice,
+    /// Set at build (shared through the plan cache); reset by a delta and
+    /// rebuilt from the patched ME-TCF by the next execute.
+    plan: OnceLock<Arc<ExecPlan>>,
+    /// Built from `plan` on first use; a delta replaces it.
+    lowered: OnceLock<Lowered>,
     /// Identity of the source matrix (pre-reordering); [`Self::apply_delta`]
     /// retires cache entries under it.
     key: KeyMaterial,
     /// Identity of the *working* (post-reordering) matrix — the one the
-    /// conversion cache is keyed on. Equals `key` when reordering is off.
+    /// plan cache is keyed on. Equals `key` when reordering is off.
     working_key: KeyMaterial,
-    /// The configuration this engine was built under, retained so delta
-    /// updates can re-select and re-lower without the builder.
+    /// The configuration this engine was built under, retained so the
+    /// lazy cell and delta updates can select and lower without the
+    /// builder.
     config: EngineConfig,
     /// Memoized kernel traces, keyed by (N, device fingerprint,
     /// record_b_addrs): repeated `simulate` calls on one engine re-lower
@@ -281,14 +314,15 @@ impl DtcSpmm {
         Self::builder().build(a)
     }
 
-    /// The Selector's decision record.
+    /// The Selector's decision record (lowers the engine on first use).
     pub fn decision(&self) -> &SelectorDecision {
-        &self.decision
+        &self.lowered().decision
     }
 
-    /// The kernel the Selector (or `force_kernel`) chose.
+    /// The kernel the Selector (or `force_kernel`) chose (lowers the
+    /// engine on first use).
     pub fn choice(&self) -> KernelChoice {
-        self.choice
+        self.lowered().choice
     }
 
     /// The row permutation applied by reordering, if any.
@@ -296,9 +330,33 @@ impl DtcSpmm {
         self.perm.as_deref()
     }
 
-    /// The ME-TCF representation in use.
+    /// The ME-TCF representation in use (lowers the engine on first use).
     pub fn metcf(&self) -> &MeTcfMatrix {
-        self.kernel.base().metcf()
+        self.lowered().kernel.base().metcf()
+    }
+
+    /// The simulator's side of the engine, built from the plan's matrix
+    /// on first use: ME-TCF conversion, the Selector, the kernel lowering.
+    fn lowered(&self) -> &Lowered {
+        self.lowered.get_or_init(|| {
+            let _span = dtc_telemetry::span("pipeline.metcf");
+            crate::telemetry::metcf_builds().incr();
+            let working = self
+                .plan
+                .get()
+                .expect("only a delta lowers an engine eagerly, and it leaves `lowered` set")
+                .to_csr();
+            let metcf = crate::convert::convert_to_metcf_parallel(&working, dtc_par::num_threads())
+                .expect("the plan build bounded nnz to ME-TCF's u32 offsets");
+            Lowered::new(metcf, distinct_col_count(&working), &self.config)
+        })
+    }
+
+    /// The execute plan; after a delta, rebuilt here from the patched
+    /// ME-TCF.
+    fn plan(&self) -> &ExecPlan {
+        self.plan
+            .get_or_init(|| Arc::new(ExecPlan::from_metcf(self.metcf(), self.config.precision)))
     }
 
     /// Identity of the source matrix this engine was built from.
@@ -312,13 +370,15 @@ impl DtcSpmm {
     }
 
     /// Applies a batch of COO edits to the engine **in place**: the
-    /// resident ME-TCF is patched window-locally (bitwise identical to a
-    /// full rebuild over the edited matrix), the kernel is re-lowered over
-    /// the patched format, and the simulation-based Selector re-runs only
-    /// when the edit's row-length-stat drift exceeds
-    /// [`DeltaPolicy::reselect_drift`] — the Acc-SpMM/FlashSparse insight
-    /// that kernel choice keys on row-length statistics, so small edits
-    /// need not pay the makespan replay.
+    /// engine's ME-TCF (built first if nothing has asked for it yet) is
+    /// patched window-locally (bitwise identical to a full rebuild over the
+    /// edited matrix), the kernel is re-lowered over the patched format,
+    /// and the simulation-based Selector re-runs only when the edit's
+    /// row-length-stat drift exceeds [`DeltaPolicy::reselect_drift`] — the
+    /// Acc-SpMM/FlashSparse insight that kernel choice keys on row-length
+    /// statistics, so small edits need not pay the makespan replay. The
+    /// execute plan is dropped; the next execute rebuilds it from the
+    /// patched format.
     ///
     /// Edits are expressed in **original** row coordinates; engines built
     /// with reordering remap them through the frozen permutation (the
@@ -326,7 +386,7 @@ impl DtcSpmm {
     ///
     /// Invalidation contract: before the engine mutates, every process-wide
     /// cache entry derived from the pre-edit matrix is retired —
-    /// conversion-cache entries, purged by key, under both the original and
+    /// plan-cache entries, purged by key, under both the original and
     /// working identities, and this engine's whole trace cache (its keys
     /// carry no matrix identity, so every memoized trace and the duration
     /// classes interned inside them are stale). The cache is purged,
@@ -338,7 +398,8 @@ impl DtcSpmm {
     ///
     /// [`DtcError::Format`] when an edit is out of bounds or the edited
     /// matrix would overflow ME-TCF's `u32` offsets; the engine (and every
-    /// cache) is unchanged on error.
+    /// cache) is unchanged on error, except that its ME-TCF may now be
+    /// built.
     pub fn apply_delta(
         &mut self,
         delta: &MatrixDelta,
@@ -411,56 +472,57 @@ impl DtcSpmm {
         // decision (and its makespan model) is reused as-is.
         let drift = report.drift();
         let reselected = drift > policy.reselect_drift;
+        let lowered = self.lowered.get_mut().expect("the patch above lowered the engine");
         if reselected {
-            self.decision = self.config.selector.decide(&patched, &self.config.device);
-            self.choice = self.config.force.unwrap_or(self.decision.choice);
+            *lowered = Lowered::new(patched, distinct, &self.config);
             crate::telemetry::delta_reselects().incr();
+        } else {
+            lowered.kernel = build_kernel(lowered.choice, patched, distinct, &self.config);
         }
-        self.kernel = build_kernel(self.choice, patched, distinct, &self.config);
+        let choice = lowered.choice;
+        self.plan = OnceLock::new();
         self.key = new_key;
         self.working_key = new_working_key;
         crate::telemetry::delta_applies().incr();
-        Ok(DeltaOutcome { report, drift, reselected, choice: self.choice })
+        Ok(DeltaOutcome { report, drift, reselected, choice })
     }
 }
 
 impl SpmmEngine for DtcSpmm {
     fn name(&self) -> &str {
-        match self.choice {
+        match self.choice() {
             KernelChoice::Base => "DTC-SpMM",
             KernelChoice::Balanced => "DTC-SpMM-balanced",
         }
     }
 
     fn rows(&self) -> usize {
-        self.kernel.as_kernel().rows()
+        self.working_key.rows()
     }
 
     fn cols(&self) -> usize {
-        self.kernel.as_kernel().cols()
+        self.working_key.cols()
     }
 
     fn nnz(&self) -> usize {
-        self.kernel.as_kernel().nnz()
+        self.working_key.nnz()
     }
 
-    /// Runs the chosen kernel, writing each reordered row straight into its
+    /// Runs the plan, writing each reordered row straight into its
     /// original row, so callers see original row order at no extra copy.
-    /// The kernel's execute plan is built on the first call; a delta
-    /// re-lowers the kernel and with it the plan.
     fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, FormatError> {
         check_spmm_dims(self.rows(), self.cols(), b)?;
-        Ok(self.kernel.base().execute_permuted(b, self.perm.as_deref()))
+        Ok(self.plan().execute(b, self.perm.as_deref()))
     }
 
     /// [`SpmmEngine::execute`] for every operand in one pass over the
-    /// kernel's plan, each output in original row order and in its
-    /// operand's allocation.
+    /// plan, each output in original row order and in its operand's
+    /// allocation.
     fn execute_many(&self, bs: Vec<DenseMatrix>) -> Result<Vec<DenseMatrix>, FormatError> {
         for b in &bs {
             check_spmm_dims(self.rows(), self.cols(), b)?;
         }
-        Ok(self.kernel.base().execute_permuted_many(bs, self.perm.as_deref()))
+        Ok(self.plan().execute_many(bs, self.perm.as_deref()))
     }
 
     fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
@@ -473,8 +535,9 @@ impl SpmmEngine for DtcSpmm {
             return hit;
         }
         crate::telemetry::trace_cache_misses().incr();
+        let kernel = self.lowered().kernel.as_kernel();
         let _lower = dtc_telemetry::span("pipeline.trace");
-        let trace = self.kernel.as_kernel().trace(n, device, record_b_addrs);
+        let trace = kernel.trace(n, device, record_b_addrs);
         self.trace_cache.lock().unwrap().insert(key, trace.clone());
         trace
     }
@@ -688,6 +751,71 @@ mod tests {
         let fresh = DtcSpmm::new(&delta.apply_to_csr(&a).unwrap());
         let fresh_trace = fresh.trace(32, &device, false);
         assert_eq!(post.iter_tbs().count(), fresh_trace.iter_tbs().count());
+    }
+
+    #[test]
+    fn lazily_lowered_engine_is_bitwise_an_eager_build() {
+        // The deferred ME-TCF, Selector decision and kernel must be exactly
+        // what converting the working matrix up front gives, whichever
+        // kernel runs, with or without reordering, at every precision.
+        // These small matrices have fewer windows than the device has
+        // resident blocks, so the default Selector picks Balanced; an
+        // unreachable threshold makes it pick Base.
+        let device = Device::rtx4090();
+        let never_balance = Selector { threshold: f64::MAX, ..Selector::default() };
+        let lineup = [
+            (Selector::default(), None),
+            (never_balance, None),
+            (Selector::default(), Some(KernelChoice::Base)),
+            (Selector::default(), Some(KernelChoice::Balanced)),
+        ];
+        let mut chosen = Vec::new();
+        for a in [long_row(320, 2048, 160.0, 2.0, 216), community(320, 320, 16, 10.0, 0.9, 217)] {
+            for (selector, force) in &lineup {
+                let force = *force;
+                for reorder in [false, true] {
+                    for precision in [Precision::Tf32, Precision::Fp16, Precision::Bf16] {
+                        let selector = selector.clone();
+                        let config = EngineConfig {
+                            precision,
+                            reorder,
+                            force,
+                            selector,
+                            ..Default::default()
+                        };
+                        let engine = DtcSpmm::builder().config(config.clone()).build(&a);
+                        let working = match engine.permutation() {
+                            Some(perm) => a.permute_rows(perm),
+                            None => a.clone(),
+                        };
+                        let metcf = MeTcfMatrix::from_csr(&working);
+                        let decision = config.selector.decide(&metcf, &device);
+                        let choice = force.unwrap_or(decision.choice);
+                        let distinct = distinct_col_count(&working);
+                        let eager = build_kernel(choice, metcf.clone(), distinct, &config);
+                        let eager = eager.as_kernel();
+                        let case = format!(
+                            "{:?} {force:?} reorder={reorder} {precision:?}",
+                            config.selector
+                        );
+                        assert_eq!(engine.metcf(), &metcf, "{case}");
+                        assert_eq!(engine.decision(), &decision, "{case}");
+                        assert_eq!(engine.choice(), choice, "{case}");
+                        // Expanded: one class per block, so no interner map
+                        // (whose iteration order is random) is printed.
+                        let trace = |k: &dyn SpmmEngine| {
+                            format!("{:?}", k.trace(16, &device, true).expanded())
+                        };
+                        assert_eq!(trace(&engine), trace(eager), "{case}");
+                        assert_eq!(engine.simulate(48, &device), eager.simulate(48, &device));
+                        if force.is_none() {
+                            chosen.push(choice);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(chosen.contains(&KernelChoice::Base) && chosen.contains(&KernelChoice::Balanced));
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! | name | meaning |
 //! |---|---|
 //! | `core.pipeline.builds` | engines assembled via [`crate::DtcSpmmBuilder::build`] |
-//! | `core.cache.conversion.hits` / `.misses` | process-wide ME-TCF conversion cache |
-//! | `core.cache.conversion.invalidations` | conversion entries purged by key after a delta update |
+//! | `core.cache.conversion.hits` / `.misses` | process-wide execute-plan cache (named for the ME-TCF conversions it once held) |
+//! | `core.cache.conversion.invalidations` | plan-cache entries purged by key after a delta update |
 //! | `core.cache.trace.hits` / `.misses` | per-engine memoized kernel traces |
 //! | `core.cache.trace.invalidations` | per-engine trace caches dropped wholesale by a delta update |
+//! | `core.metcf.builds` | engines whose lazy ME-TCF / Selector / kernel cell was forced |
 //! | `core.delta.applies` | in-place [`crate::DtcSpmm::apply_delta`] patches |
 //! | `core.delta.reselects` | delta applies whose stat drift re-ran the Selector |
 
@@ -33,12 +34,12 @@ cached_counter!(
     "core.pipeline.builds"
 );
 cached_counter!(
-    /// ME-TCF conversion cache hits.
+    /// Plan-cache hits.
     conversion_cache_hits,
     "core.cache.conversion.hits"
 );
 cached_counter!(
-    /// ME-TCF conversion cache misses (each one paid a conversion).
+    /// Plan-cache misses (each one paid a plan build).
     conversion_cache_misses,
     "core.cache.conversion.misses"
 );
@@ -53,7 +54,7 @@ cached_counter!(
     "core.cache.trace.misses"
 );
 cached_counter!(
-    /// Conversion-cache entries purged by key ([`crate::cache::invalidate_conversion`]).
+    /// Plan-cache entries purged by key ([`crate::cache::invalidate_conversion`]).
     conversion_cache_invalidations,
     "core.cache.conversion.invalidations"
 );
@@ -62,6 +63,12 @@ cached_counter!(
     /// (the trace key carries no matrix identity, so every entry is stale).
     trace_cache_invalidations,
     "core.cache.trace.invalidations"
+);
+cached_counter!(
+    /// Engines whose deferred ME-TCF conversion, Selector run and kernel
+    /// lowering were forced (once per engine, by a simulator-side call).
+    metcf_builds,
+    "core.metcf.builds"
 );
 cached_counter!(
     /// In-place delta patches applied through [`crate::DtcSpmm::apply_delta`].

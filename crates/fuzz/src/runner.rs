@@ -9,13 +9,14 @@
 //!    speed-of-light over a simulated report).
 //! 2. **Conversion paths** — serial SGT condensing
 //!    (`MeTcfMatrix::from_csr`) versus the parallel merge
-//!    (`convert_to_metcf_parallel`), plus the `to_csr` round-trip, must
-//!    agree bit-for-bit.
+//!    (`convert_to_metcf_parallel`) and versus the ME-TCF a `DtcSpmm`
+//!    engine builds on demand, plus the `to_csr` round-trip, must agree
+//!    bit-for-bit.
 //! 3. **Pipeline** — the end-to-end `DtcSpmm` engine with TCA reordering
-//!    on and off (exercising the conversion cache and the permutation
-//!    undo) must also land inside the envelope.
-//! 4. **Cache** — cold, near-duplicate and warm conversion-cache lookups
-//!    against a direct conversion, at 1 and 4 worker threads; the
+//!    on and off (exercising the plan cache and the permutation undo)
+//!    must also land inside the envelope.
+//! 4. **Cache** — cold, near-duplicate and warm plan-cache lookups
+//!    against a direct plan build, at 1 and 4 worker threads; the
 //!    near-duplicate shares `a`'s shape and structure, so only the value
 //!    checksum tells the two apart.
 //! 5. **Delta updates** — a seed-derived edit script (inserts, updates,
@@ -34,10 +35,10 @@ use dtc_baselines::{
     BlockSpmm, CusparseSpmm, FlashLlmSpmm, HpSpmm, HybridSplitSpmm, SparseTirSpmm, SpartaSpmm,
     SpmmEngine, SputnikSpmm, TcgnnSpmm, SPARTA_DEFAULT_LIMIT,
 };
-use dtc_core::cache::{clear_conversion_cache, metcf_for, CachedConversion};
+use dtc_core::cache::{clear_conversion_cache, metcf_for};
 use dtc_core::convert::convert_to_metcf_parallel;
-use dtc_core::{BalancedDtcKernel, DtcKernel, DtcSpmm};
-use dtc_formats::{CsrMatrix, DenseMatrix, MatrixDelta, MeTcfMatrix};
+use dtc_core::{BalancedDtcKernel, DtcKernel, DtcSpmm, ExecPlan};
+use dtc_formats::{CsrMatrix, DenseMatrix, MatrixDelta, MeTcfMatrix, Precision};
 use dtc_sim::{simulate, Device, SimOptions};
 use dtc_verify::{verify_report, verify_trace, ProblemSpec, Severity, TraceCase};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -58,8 +59,8 @@ pub enum FailureKind {
     ConversionDiverged,
     /// `MeTcfMatrix::to_csr` does not reproduce the operand.
     RoundTripBroken,
-    /// The conversion cache returned something other than a direct
-    /// conversion of the looked-up matrix.
+    /// The plan cache returned something other than a direct plan build
+    /// of the looked-up matrix.
     CacheDiverged,
     /// In-place delta patching diverged from a full rebuild over the
     /// edited matrix.
@@ -261,7 +262,7 @@ pub fn run_case(case: &FuzzCase, device: &Device) -> CaseOutcome {
         }
     }
 
-    // Axis 4: conversion-cache lookups vs direct conversion.
+    // Axis 4: plan-cache lookups vs a direct plan build.
     check_cache(a, &mut out);
 
     // Axis 5: in-place delta patching vs full rebuild.
@@ -357,12 +358,12 @@ fn check_delta(case: &FuzzCase, out: &mut CaseOutcome) {
     }
 }
 
-/// The cache differential: the conversion cache must serve exactly what a
-/// direct conversion computes. For each thread count, the case matrix is
+/// The cache differential: the plan cache must serve exactly what a
+/// direct plan build computes. For each thread count, the case matrix is
 /// looked up cold, then a near-duplicate (one value bit flipped, so its
 /// identity differs from `a`'s only in the value checksum), then `a` again
-/// warm — and every result must be bitwise identical to its direct
-/// conversion.
+/// warm — and every result must be bitwise identical to its direct build
+/// (`ExecPlan`'s equality compares floats by bits).
 fn check_cache(a: &CsrMatrix, out: &mut CaseOutcome) {
     let variant = (a.nnz() > 0).then(|| {
         let mut triplets: Vec<(usize, usize, f32)> = a.iter().collect();
@@ -370,9 +371,8 @@ fn check_cache(a: &CsrMatrix, out: &mut CaseOutcome) {
         triplets[0] = (r, c, f32::from_bits(v.to_bits() ^ 1));
         CsrMatrix::from_triplets(a.rows(), a.cols(), &triplets).expect("in-bounds triplets")
     });
-    let direct = |m: &CsrMatrix| CachedConversion {
-        metcf: MeTcfMatrix::from_csr(m),
-        distinct_cols: distinct_col_count(m),
+    let direct = |m: &CsrMatrix| {
+        ExecPlan::from_csr(m, Precision::Tf32).expect("fuzz case within u32 bounds")
     };
     for threads in [1usize, 4] {
         let label = format!("cache/t{threads}");
@@ -380,33 +380,30 @@ fn check_cache(a: &CsrMatrix, out: &mut CaseOutcome) {
             // Fuzz cases are far inside the u32 offset bounds, so a
             // conversion error here is a panic-worthy harness bug (and is
             // caught by `guarded` as a reportable failure either way).
-            let conv = |m: &CsrMatrix| metcf_for(m).expect("fuzz case within u32 bounds");
+            let plan = |m: &CsrMatrix| metcf_for(m).expect("fuzz case within u32 bounds");
             dtc_par::set_threads(Some(threads));
             clear_conversion_cache();
-            let cold_a = conv(a);
-            let cached_v = variant.as_ref().map(&conv);
-            let warm_a = conv(a);
+            let cold_a = plan(a);
+            let cached_v = variant.as_ref().map(&plan);
+            let warm_a = plan(a);
             (cold_a, cached_v, warm_a, direct(a), variant.as_ref().map(direct))
         });
         dtc_par::set_threads(None);
         match result {
             Err(msg) => out.push(&label, FailureKind::Panic, msg),
             Ok((cold_a, cached_v, warm_a, direct_a, direct_v)) => {
-                let same = |x: &CachedConversion, y: &CachedConversion| {
-                    x.distinct_cols == y.distinct_cols && metcf_bitwise_eq(&x.metcf, &y.metcf)
-                };
-                if !same(&cold_a, &direct_a) {
+                if *cold_a != direct_a {
                     out.push(&label, FailureKind::CacheDiverged, "cold lookup diverges".into());
                 }
-                if !same(&warm_a, &direct_a) {
+                if *warm_a != direct_a {
                     out.push(&label, FailureKind::CacheDiverged, "warm lookup diverges".into());
                 }
                 if let (Some(cv), Some(dv)) = (&cached_v, &direct_v) {
-                    if !same(cv, dv) {
+                    if **cv != *dv {
                         out.push(
                             &label,
                             FailureKind::CacheDiverged,
-                            "near-duplicate cross-served a stale conversion".into(),
+                            "near-duplicate cross-served a stale plan".into(),
                         );
                     }
                 }
@@ -415,7 +412,8 @@ fn check_cache(a: &CsrMatrix, out: &mut CaseOutcome) {
     }
 }
 
-/// The conversion-path differential: serial vs parallel, plus round-trip.
+/// The conversion-path differential: serial vs parallel vs the engine's
+/// on-demand build, plus round-trip.
 fn check_conversion(a: &CsrMatrix, out: &mut CaseOutcome) {
     let serial = match guarded(|| MeTcfMatrix::from_csr(a)) {
         Err(msg) => {
@@ -435,6 +433,22 @@ fn check_conversion(a: &CsrMatrix, out: &mut CaseOutcome) {
                     format!(
                         "parallel merge: {} blocks vs serial {} blocks",
                         parallel.num_tc_blocks(),
+                        serial.num_tc_blocks()
+                    ),
+                );
+            }
+        }
+    }
+    match guarded(|| DtcSpmm::builder().build(a).metcf().clone()) {
+        Err(msg) => out.push("convert/engine", FailureKind::Panic, msg),
+        Ok(forced) => {
+            if !metcf_bitwise_eq(&forced, &serial) {
+                out.push(
+                    "convert/engine",
+                    FailureKind::ConversionDiverged,
+                    format!(
+                        "engine's on-demand ME-TCF: {} blocks vs serial {} blocks",
+                        forced.num_tc_blocks(),
                         serial.num_tc_blocks()
                     ),
                 );

@@ -1,6 +1,6 @@
 //! The workspace's one FNV-1a implementation.
 //!
-//! Every keyed structure in the stack — the ME-TCF conversion cache, the
+//! Every keyed structure in the stack — the execute-plan cache, the
 //! engine-pool primary hash, `EngineConfig`/`Device` fingerprints, the
 //! duration-class interning key, the LSH band buckets — hashes with FNV-1a
 //! over 64-bit words. Before this module

@@ -25,7 +25,7 @@ use dtc_verify::LockGraph;
 /// | `serve.queue` | `serve/src/server.rs` `SpmmServer::queue` | admission queue, leaf |
 /// | `serve.pool.inner` | `serve/src/pool.rs` `EnginePool::inner` | slot map, held only for map ops |
 /// | `serve.prepare` | `serve/src/pool.rs` `EngineCell` | `OnceLock` engine build (blocks same-key waiters) |
-/// | `core.conversion_cache` | `core/src/cache.rs` `CACHE` | released before parallel conversion |
+/// | `core.conversion_cache` | `core/src/cache.rs` `PlanCache` | released before the plan build |
 /// | `core.trace_cache` | `core/src/pipeline.rs` `DtcSpmm::trace_cache` | per-kernel memo, leaf |
 /// | `par.band_deque` | `par/src/lib.rs` worker deques | one at a time, never nested |
 /// | `par.arena_slot` | `par/src/arena.rs` pooled arenas | `try_lock` only — can never block |
@@ -34,10 +34,10 @@ use dtc_verify::LockGraph;
 /// Edges (acquired-while-holding):
 ///
 /// - `serve.prepare -> core.conversion_cache`: the engine build inside
-///   `OnceLock::get_or_init` probes/fills the conversion cache.
-/// - `serve.prepare -> par.band_deque`: the build's parallel conversion
-///   runs the work-stealing engine while same-key waiters block on the
-///   cell.
+///   `OnceLock::get_or_init` probes/fills the plan cache.
+/// - `serve.prepare -> par.band_deque`: the build's parallel reordering
+///   and plan rounding run the work-stealing engine while same-key
+///   waiters block on the cell.
 /// - `serve.prepare -> telemetry.registry`: first-use metric registration
 ///   during a build.
 /// - `par.band_deque -> par.arena_slot`: a worker leases its arena while
@@ -52,7 +52,7 @@ pub fn workspace_lock_graph() -> LockGraph {
     let queue = g.class("serve.queue", "admission queue (SpmmServer::queue)");
     let pool = g.class("serve.pool.inner", "engine pool slot map (EnginePool::inner)");
     let prepare = g.class("serve.prepare", "OnceLock engine build (EngineCell)");
-    let conv = g.class("core.conversion_cache", "METCF conversion cache (cache.rs CACHE)");
+    let conv = g.class("core.conversion_cache", "execute-plan cache (cache.rs PlanCache)");
     let trace = g.class("core.trace_cache", "per-kernel trace memo (DtcSpmm::trace_cache)");
     let deque = g.class("par.band_deque", "worker band deques (run_threads queues)");
     let arena = g.class("par.arena_slot", "pooled scratch arenas (try_lock only)");
@@ -64,7 +64,7 @@ pub fn workspace_lock_graph() -> LockGraph {
     // pure lowering.
     let _ = (queue, pool, trace);
     g.edge(prepare, conv, "serve/src/pool.rs::get_or_prepare (engine build)");
-    g.edge(prepare, deque, "core/src/cache.rs::convert_to_metcf_parallel (under build)");
+    g.edge(prepare, deque, "core/src/kernel/mod.rs::ExecPlan::from_csr (under build)");
     g.edge(prepare, registry, "serve/src/telemetry.rs (first-use registration)");
     g.edge(deque, arena, "par/src/lib.rs::run_threads (worker loop)");
     g.edge(arena, registry, "par/src/arena.rs::note_retained (gauge registration)");

@@ -1,9 +1,9 @@
 //! `dtc-serve` — a multi-tenant SpMM serving layer over the unified
 //! [`SpmmEngine`](dtc_core::SpmmEngine) trait.
 //!
-//! DTC-SpMM's preprocessing (ME-TCF conversion, optional reordering,
-//! kernel selection) is worth paying **once per matrix**, not once per
-//! request. This crate turns the workspace's engines into a service:
+//! DTC-SpMM's preprocessing (optional reordering and the execute plan on
+//! the host; ME-TCF conversion and kernel selection once something
+//! simulates) is worth paying **once per matrix**, not once per request. This crate turns the workspace's engines into a service:
 //!
 //! - [`EnginePool`] — prepared engines keyed by engine family +
 //!   [`EngineConfig`](dtc_core::EngineConfig)/device fingerprints + the
@@ -81,10 +81,10 @@ pub struct ServeConfig {
     /// Replay the dtc-verify lints over each batch's trace before
     /// executing, failing the batch on any error-severity diagnostic.
     pub verify: bool,
-    /// Statically verify every freshly prepared engine at admission time
-    /// ([`admission_check`]): trace lints at a probe width, run once
-    /// inside the prepare (so the cost is amortized like the conversion
-    /// itself), rejecting an illegal engine with
+    /// Statically verify the configuration of every engine the pool is
+    /// about to prepare ([`admission_check`]): trace lints over a small
+    /// probe kernel, run once per prepare (so the cost is amortized like
+    /// the prepare itself), rejecting an illegal configuration with
     /// [`DtcError::Verify`](dtc_core::DtcError::Verify) before it can
     /// fail mid-request. On by default.
     pub admission_verify: bool,

@@ -1,7 +1,7 @@
 //! The keyed engine pool: prepared [`SpmmEngine`]s cached across requests.
 //!
 //! Pool identity is the triple the paper's amortization argument needs:
-//! *which matrix* ([`KeyMaterial`], the verified conversion-cache identity
+//! *which matrix* ([`KeyMaterial`], the verified plan-cache identity
 //! from `dtc-core`), *which configuration*
 //! ([`EngineConfig::fingerprint`] — two tenants asking for the same matrix
 //! under different precisions must not share an engine), and *which
@@ -13,12 +13,12 @@
 //! Concurrency: one prepare per key. Each slot holds an
 //! [`OnceLock`]; concurrent same-key requests all land on the same slot
 //! and `get_or_init` blocks the laggards while the first caller pays the
-//! (reorder → convert → select) build, so a thundering herd of identical
-//! requests costs exactly one conversion-cache miss.
+//! (reorder → plan) build, so a thundering herd of identical requests
+//! costs exactly one plan-cache miss.
 //!
 //! Eviction is LRU **with warmup pins**: an entry that has served fewer
 //! than [`PoolConfig::warmup_uses`] requests is still amortizing its
-//! conversion cost and cannot be evicted. If every resident entry is
+//! preparation and cannot be evicted. If every resident entry is
 //! pinned and the pool is full, a new key is refused with
 //! [`DtcError::PoolExhausted`] rather than thrashing a cold engine.
 
@@ -111,7 +111,7 @@ pub struct PoolConfig {
     pub capacity: usize,
     /// Requests an entry must serve before it becomes evictable (the
     /// warmup pin): evicting an engine that has not yet amortized its
-    /// conversion cost only converts it again on the next request.
+    /// preparation only prepares it again on the next request.
     pub warmup_uses: u64,
 }
 

@@ -17,37 +17,64 @@
 //! With [`ServeConfig::verify`] set, every batch passes the dtc-verify
 //! structural/resource lint replay over the engine's lowered trace before
 //! executing — the per-request safety gate ([`DtcError::Verify`] on any
-//! error-severity diagnostic).
+//! error-severity diagnostic), and the only one that lowers the engine
+//! itself ([`admission_check`] lints the configuration on a probe).
 
 use crate::pool::{EnginePool, PoolKey};
 use crate::ServeConfig;
-use dtc_core::{DtcError, EngineConfig, EngineKind, KeyMaterial, SpmmEngine};
+use dtc_core::{DtcError, DtcKernel, EngineConfig, EngineKind, KeyMaterial, SpmmEngine};
 use dtc_formats::{CsrMatrix, DenseMatrix};
 use dtc_verify::{Severity, TraceCase};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Admission-time static verification of a freshly prepared engine: the
-/// lints that can run *before the first execute*, so an illegal engine is
-/// rejected at prepare time ([`DtcError::Verify`]) instead of failing —
-/// or silently miscounting — mid-request.
+/// Admission-time static verification of an engine configuration: the
+/// lints that can run *before the prepare*, so an illegal configuration
+/// is rejected ([`DtcError::Verify`]) instead of failing — or silently
+/// miscounting — mid-request.
 ///
-/// It runs the dtc-verify trace lints over the engine's lowering at a
-/// small probe width: structural invariants, SM resource legality and
-/// cost-table coverage (a device model with a zeroed cost table is caught
-/// here). No shard-plan lint runs: the plan an execute cuts depends on
-/// the engine's own weights, and the planner is gated by `schedcheck`.
+/// Cost-table coverage and SM resource legality are properties of the
+/// configuration (device model, kernel opts, precision), not of the
+/// request's matrix, so they are linted on a kernel of family `kind`
+/// lowered over a small fixed probe matrix at a small probe width (a
+/// device model with a zeroed cost table is caught here). The probe is
+/// built directly, with reordering off, outside
+/// [`DtcSpmmBuilder::try_build`](dtc_core::DtcSpmmBuilder::try_build) and
+/// the plan cache, so it moves neither the pipeline's spans and build
+/// count nor the cache counters; and a prepared engine is never lowered
+/// here, so admission builds no ME-TCF of the request's matrix. What
+/// depends on that matrix — the structural invariants of its own
+/// lowering, and of the kernel the Selector (or `force`) picks for it — is
+/// linted only by the per-batch
+/// [`ServeConfig::verify`](crate::ServeConfig::verify) replay. No
+/// shard-plan lint runs: the planner is gated by `schedcheck`.
 ///
-/// The server composes this into the pool's prepare closure when
-/// [`ServeConfig::admission_verify`] is set (the default), so a failed
-/// check behaves exactly like a failed prepare: the error surfaces to the
-/// requesting batch and nothing is cached — a later request under a fixed
-/// configuration retries cleanly.
-pub fn admission_check(engine: &dyn SpmmEngine, config: &EngineConfig) -> Result<(), DtcError> {
+/// The server runs this ahead of the pool's prepare when
+/// [`ServeConfig::admission_verify`](crate::ServeConfig::admission_verify)
+/// is set (the default), so a failed check behaves exactly like a failed
+/// prepare: the error surfaces to the requesting batch and nothing is
+/// cached — a later request under a fixed configuration retries cleanly.
+pub fn admission_check(kind: EngineKind, config: &EngineConfig) -> Result<(), DtcError> {
     let _span = dtc_telemetry::span("serve.admission_check");
     const PROBE_COLS: usize = 8;
-    reject(engine, &trace_errors(engine, PROBE_COLS, config))
+    let probe = probe_engine(kind, config)?;
+    reject(probe.as_ref(), &trace_errors(probe.as_ref(), PROBE_COLS, config))
+}
+
+/// A kernel of family `kind` (the base kernel for DTC) under `config`
+/// over a fixed 16×16 probe matrix. The probe is one row window, so
+/// building and lowering it never fans out over worker threads (each
+/// fan-out costs more than the whole check).
+fn probe_engine(kind: EngineKind, config: &EngineConfig) -> Result<Box<dyn SpmmEngine>, DtcError> {
+    static PROBE: OnceLock<CsrMatrix> = OnceLock::new();
+    let a = PROBE.get_or_init(|| dtc_formats::gen::uniform(16, 16, 64, 7));
+    Ok(match kind {
+        EngineKind::Dtc => {
+            Box::new(DtcKernel::with_opts(a, config.opts).with_precision(config.precision))
+        }
+        baseline => dtc_core::prepare(baseline, config, a)?,
+    })
 }
 
 /// Lowers `engine` at width `n` and renders every error-severity
@@ -218,11 +245,10 @@ impl SpmmServer {
         let _span = dtc_telemetry::span("serve.batch");
         let head = &batch[0].req;
         let fetched = self.pool.get_or_prepare(batch[0].key.clone(), || {
-            let engine = dtc_core::prepare(head.kind, &head.config, &head.matrix)?;
             if self.cfg.admission_verify {
-                admission_check(engine.as_ref(), &head.config)?;
+                admission_check(head.kind, &head.config)?;
             }
-            Ok(engine)
+            dtc_core::prepare(head.kind, &head.config, &head.matrix)
         })?;
         let engine = fetched.engine;
 
@@ -253,8 +279,8 @@ impl SpmmServer {
     ///
     /// Two layers are purged, each by key so unrelated residents survive:
     /// the engine pool (every family/device/config slot whose
-    /// [`KeyMaterial`] matches) and the process-wide ME-TCF conversion
-    /// cache in `dtc-core`. Queued requests are untouched: they carry their
+    /// [`KeyMaterial`] matches) and the process-wide execute-plan cache
+    /// in `dtc-core`. Queued requests are untouched: they carry their
     /// own `Arc<CsrMatrix>` snapshot, and a request admitted after the edit
     /// carries post-edit key material, so it can never resolve to a
     /// pre-edit engine once this returns.
@@ -301,4 +327,17 @@ fn pool_key(req: &Request) -> Result<PoolKey, DtcError> {
         });
     }
     Ok(PoolKey::new(req.kind, &req.config, KeyMaterial::of(&req.matrix)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_engine_family_passes_admission_under_a_sound_config() {
+        for kind in [EngineKind::Dtc, EngineKind::Cusparse, EngineKind::Sputnik, EngineKind::Tcgnn]
+        {
+            admission_check(kind, &EngineConfig::default()).expect("sound config admitted");
+        }
+    }
 }

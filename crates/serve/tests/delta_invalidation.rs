@@ -15,10 +15,10 @@ use std::sync::Arc;
 
 use dtc_core::cache::metcf_for;
 use dtc_core::{
-    invalidate_conversion, DeltaPolicy, DtcSpmm, EngineConfig, EngineKind, KeyMaterial,
-    MatrixDelta, SpmmEngine,
+    invalidate_conversion, DeltaPolicy, DtcSpmm, EngineConfig, EngineKind, ExecPlan, KeyMaterial,
+    MatrixDelta, Precision, SpmmEngine,
 };
-use dtc_formats::{gen::uniform, CsrMatrix, DenseMatrix, MeTcfMatrix};
+use dtc_formats::{gen::uniform, CsrMatrix, DenseMatrix};
 use dtc_serve::{Request, ServeConfig, SpmmServer};
 use dtc_sim::Device;
 use proptest::prelude::*;
@@ -121,9 +121,9 @@ proptest! {
         let patched_out = engine.execute(&b).expect("patched execute");
         prop_assert_eq!(value_bits(&served), value_bits(&patched_out));
 
-        // And the conversion cache now serves only the post-edit format.
+        // And the plan cache now serves only the post-edit plan.
         let conv = metcf_for(&edited).expect("within u32 bounds");
-        prop_assert!(conv.metcf == *engine.metcf());
+        prop_assert!(*conv == ExecPlan::from_metcf(engine.metcf(), Precision::Tf32));
     }
 }
 
@@ -167,7 +167,7 @@ proptest! {
         prop_assert_eq!(invalidate_conversion(&material_a), 0);
         let edited = delta.apply_to_csr(&a).expect("in-bounds delta");
         let conv = metcf_for(&edited).expect("within u32 bounds");
-        prop_assert!(conv.metcf == MeTcfMatrix::from_csr(&edited));
-        prop_assert!(conv.metcf == *engine.metcf());
+        prop_assert!(*conv == ExecPlan::from_csr(&edited, Precision::Tf32).expect("within u32 bounds"));
+        prop_assert!(*conv == ExecPlan::from_metcf(engine.metcf(), Precision::Tf32));
     }
 }
