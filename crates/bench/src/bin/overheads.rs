@@ -6,7 +6,6 @@ use dtc_baselines::SpmmEngine;
 use dtc_bench::print_table;
 use dtc_core::{convert, DtcKernel, Selector};
 use dtc_datasets::{representative, scaled_device};
-use dtc_formats::MeTcfMatrix;
 use dtc_reorder::{Reorderer, TcaReorderer};
 use dtc_sim::Device;
 use std::time::Instant;
@@ -22,7 +21,7 @@ fn main() {
         let spmm_ms = DtcKernel::new(&a).simulate(n, &device).time_ms;
 
         // 1. Format conversion (GPU-kernel model + measured CPU parallel time).
-        let report = convert::convert_with_report(&a, 4, &device)
+        let report = convert::convert_with_report(&a, &device)
             .expect("representative datasets are within u32 offset bounds");
         let conv_ratio = report.simulated_gpu_ms / spmm_ms;
 
@@ -32,9 +31,8 @@ fn main() {
         let reorder_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // 3. Selector — measured CPU wall time of the makespan simulation.
-        let metcf = MeTcfMatrix::from_csr(&a);
         let t1 = Instant::now();
-        let decision = Selector::default().decide(&metcf, &device);
+        let decision = Selector::default().decide(&report.metcf, &device);
         let selector_ms = t1.elapsed().as_secs_f64() * 1e3;
         let _ = decision;
 
@@ -42,7 +40,11 @@ fn main() {
             d.abbr.clone(),
             format!("{spmm_ms:.4}"),
             format!("{:.4} ({conv_ratio:.2}x SpMM)", report.simulated_gpu_ms),
-            format!("{:.1} (CPU, 4 threads)", report.cpu_time.as_secs_f64() * 1e3),
+            format!(
+                "{:.1} (CPU, {} threads)",
+                report.cpu_time.as_secs_f64() * 1e3,
+                dtc_par::num_threads()
+            ),
             format!("{reorder_ms:.1} (CPU)"),
             format!("{selector_ms:.3} (CPU)"),
         ]);

@@ -26,7 +26,7 @@
 //! crossover sanity — the single-window speedup must be at least the
 //! all-windows speedup, so the curve trends the right way.
 
-use dtc_core::{clear_conversion_cache, DeltaPolicy, DtcSpmm, MatrixDelta, SpmmEngine};
+use dtc_core::{clear_conversion_cache, DtcSpmm, MatrixDelta, SpmmEngine, RESELECT_DRIFT};
 use dtc_formats::gen::uniform;
 use dtc_formats::{CsrMatrix, DenseMatrix};
 use dtc_telemetry::json::Json;
@@ -93,9 +93,9 @@ fn make_delta(a: &CsrMatrix, k: usize, seed: u64) -> MatrixDelta {
 
 /// Pins the point's correctness: patching in place must equal a fresh
 /// build over the edited matrix — format bitwise, output bitwise.
-fn assert_bitwise(a: &CsrMatrix, delta: &MatrixDelta, policy: &DeltaPolicy) {
+fn assert_bitwise(a: &CsrMatrix, delta: &MatrixDelta) {
     let mut patched = DtcSpmm::new(a);
-    patched.apply_delta(delta, policy).expect("apply_delta");
+    patched.apply_delta(delta).expect("apply_delta");
     let edited = delta.apply_to_csr(a).expect("apply_to_csr");
     clear_conversion_cache();
     let rebuilt = DtcSpmm::new(&edited);
@@ -114,9 +114,9 @@ fn assert_bitwise(a: &CsrMatrix, delta: &MatrixDelta, policy: &DeltaPolicy) {
 /// every pair, since `apply_delta` consumes the pre-edit state, and its
 /// ME-TCF is built untimed too: both paths then end holding ME-TCF, and
 /// the delta path is charged only for patching it.
-fn sweep_point(a: &CsrMatrix, k: usize, policy: &DeltaPolicy, reps: usize) -> Point {
+fn sweep_point(a: &CsrMatrix, k: usize, reps: usize) -> Point {
     let delta = make_delta(a, k, 0x57AE_A41B ^ k as u64);
-    assert_bitwise(a, &delta, policy);
+    assert_bitwise(a, &delta);
 
     let (mut delta_ms, mut rebuild_ms, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
     let mut reselected = false;
@@ -125,7 +125,7 @@ fn sweep_point(a: &CsrMatrix, k: usize, policy: &DeltaPolicy, reps: usize) -> Po
         let mut engine = DtcSpmm::new(a);
         std::hint::black_box(engine.metcf());
         let t0 = Instant::now();
-        let outcome = engine.apply_delta(&delta, policy).expect("apply_delta");
+        let outcome = engine.apply_delta(&delta).expect("apply_delta");
         let d = t0.elapsed().as_secs_f64() * 1e3;
         reselected = outcome.reselected;
         std::hint::black_box(&engine);
@@ -176,7 +176,6 @@ fn main() {
     };
     let a = uniform(rows, rows, rows * nnz_per_row, 0xD7C5_57AE);
     let windows = rows.div_ceil(16);
-    let policy = DeltaPolicy::default();
     let reps = if smoke { SMOKE_REPS } else { REPS };
     println!(
         "## streaming — {rows}x{rows}, {} nnz, {windows} windows, {} edit-batch sizes, \
@@ -185,7 +184,7 @@ fn main() {
         ks.len()
     );
 
-    let points: Vec<Point> = ks.iter().map(|&k| sweep_point(&a, k, &policy, reps)).collect();
+    let points: Vec<Point> = ks.iter().map(|&k| sweep_point(&a, k, reps)).collect();
 
     println!("\n| windows touched | ops | delta ms | rebuild ms | speedup | reselected |");
     println!("|---|---|---|---|---|---|");
@@ -238,7 +237,7 @@ fn main() {
                 ("windows", Json::usize(windows)),
             ]),
         ),
-        ("reselect_drift", Json::f(policy.reselect_drift, 3)),
+        ("reselect_drift", Json::f(RESELECT_DRIFT, 3)),
         ("points", Json::arr(points.iter().map(json_point).collect())),
         ("crossover_windows", crossover.map_or(Json::str("none"), Json::usize)),
     ])

@@ -218,27 +218,16 @@ fn global() -> &'static PlanCache {
     CACHE.get_or_init(PlanCache::default)
 }
 
-/// Returns the cached TF32 (default-precision) execute plan of `a`,
-/// building (and inserting) it on miss. The name predates the plan cache:
-/// the cached value was once `a`'s ME-TCF conversion, which engines now
-/// build only when their simulator side asks for it.
+/// Returns the cached execute plan of `a` (identified by `material`) at
+/// `precision`, building (and inserting) it on miss. Taking the identity
+/// from the caller keys the matrix once per build rather than once per
+/// consumer.
 ///
 /// # Errors
 ///
 /// Propagates the plan's `u32` offset-overflow guard
 /// ([`DtcError::Format`]); nothing is cached on error.
-pub fn metcf_for(a: &CsrMatrix) -> Result<Arc<ExecPlan>, DtcError> {
-    lookup(a, &KeyMaterial::of(a))
-}
-
-/// [`metcf_for`] for a caller that already holds `a`'s identity.
-pub(crate) fn lookup(a: &CsrMatrix, material: &KeyMaterial) -> Result<Arc<ExecPlan>, DtcError> {
-    plan_for(a, material, Precision::default())
-}
-
-/// The cached plan of `a` (identified by `material`) at `precision`, so
-/// the matrix is keyed once per build rather than once per consumer.
-pub(crate) fn plan_for(
+pub fn plan_for(
     a: &CsrMatrix,
     material: &KeyMaterial,
     precision: Precision,
@@ -346,10 +335,10 @@ mod tests {
     fn cached_conversion_matches_direct() {
         let a = uniform(200, 150, 1200, 323);
         let direct = ExecPlan::from_csr(&a, Precision::Tf32).unwrap();
-        assert_eq!(*metcf_for(&a).unwrap(), direct);
+        let key = KeyMaterial::of(&a);
+        assert_eq!(*plan_for(&a, &key, Precision::Tf32).unwrap(), direct);
         assert_eq!(direct, ExecPlan::from_metcf(&MeTcfMatrix::from_csr(&a), Precision::Tf32));
         // Each precision is its own entry.
-        let key = KeyMaterial::of(&a);
         let fp16 = plan_for(&a, &key, Precision::Fp16).unwrap();
         assert_eq!(*fp16, ExecPlan::from_csr(&a, Precision::Fp16).unwrap());
         assert_ne!(*fp16, direct);
@@ -385,8 +374,8 @@ mod tests {
         // a resident one everywhere but one field must convert fresh, not
         // serve the resident conversion.
         let a = uniform(96, 96, 500, 77);
-        let resident = metcf_for(&a).unwrap();
         let m = KeyMaterial::of(&a);
+        let resident = plan_for(&a, &m, Precision::Tf32).unwrap();
         let variants = [
             KeyMaterial { rows: m.rows + 1, ..m.clone() },
             KeyMaterial { cols: m.cols + 1, ..m.clone() },
@@ -396,7 +385,7 @@ mod tests {
             KeyMaterial { value_sum: m.value_sum ^ 1, ..m.clone() },
         ];
         for v in &variants {
-            let got = lookup(&a, v).unwrap();
+            let got = plan_for(&a, v, Precision::Tf32).unwrap();
             assert!(!Arc::ptr_eq(&got, &resident), "{v:?} was served the resident conversion");
             // The miss stored `a`'s conversion under the forged identity;
             // purge it so no later lookup can meet it.

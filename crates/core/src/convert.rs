@@ -1,14 +1,14 @@
-//! Format conversion: CSR → ME-TCF, parallelized across row windows, with
-//! the overhead accounting of §6.
+//! Format conversion: CSR → ME-TCF with the overhead accounting of §6.
 //!
 //! The paper accelerates conversion with GPU kernels (101× / 72× faster
-//! than TC-GNN's CPU converter); here the analogous parallelism comes from
-//! scoped threads over independent row windows, and
+//! than TC-GNN's CPU converter); here the analogous parallelism is
+//! [`MeTcfMatrix::from_csr`]'s SGT condensing, which fans out over
+//! independent 16-row windows on dtc-par's workers, and
 //! [`simulated_gpu_conversion_ms`] models what the GPU kernels would cost
 //! so that the §6 overhead ratios can be reproduced.
 
 use crate::error::DtcError;
-use dtc_formats::{Condensed, CsrMatrix, FormatError, MeTcfMatrix, WINDOW_HEIGHT};
+use dtc_formats::{CsrMatrix, FormatError, MeTcfMatrix, WINDOW_HEIGHT};
 use std::time::{Duration, Instant};
 
 /// Result of a timed conversion.
@@ -22,78 +22,6 @@ pub struct ConversionReport {
     pub simulated_gpu_ms: f64,
 }
 
-/// Converts CSR to ME-TCF using `threads` worker threads over row windows.
-///
-/// Window condensing is embarrassingly parallel (each 16-row window is
-/// independent), and array packing runs inside the same parallel map (per
-/// contiguous nnz-weighted window range); only the final offset re-basing
-/// concatenation is sequential.
-///
-/// # Example
-///
-/// ```
-/// use dtc_core::convert::convert_to_metcf_parallel;
-/// use dtc_formats::{gen, MeTcfMatrix};
-///
-/// let a = gen::uniform(512, 512, 4096, 9);
-/// let parallel = convert_to_metcf_parallel(&a, 4).unwrap();
-/// assert_eq!(parallel, MeTcfMatrix::from_csr(&a)); // identical result
-/// ```
-///
-/// # Errors
-///
-/// Returns [`DtcError::Format`] ([`FormatError::IndexOverflow`]) when the
-/// matrix's non-zero or TC-block count exceeds ME-TCF's `u32` offset range
-/// — the packed arrays would silently wrap otherwise.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn convert_to_metcf_parallel(a: &CsrMatrix, threads: usize) -> Result<MeTcfMatrix, DtcError> {
-    assert!(threads > 0, "need at least one thread");
-    // Every TC block holds at least one non-zero, so blocks <= nnz and one
-    // upfront bound on nnz also bounds the block count: past it the `u32`
-    // offset arrays (and the merge re-basing below) would wrap.
-    guard_metcf_bounds(a.nnz())?;
-    let num_windows = a.rows().div_ceil(WINDOW_HEIGHT);
-    if threads == 1 || num_windows < threads * 4 {
-        return Ok(MeTcfMatrix::from_csr(a));
-    }
-    // Partition windows into contiguous row ranges at nnz-weighted cut
-    // points (a window's condense+pack cost tracks its non-zeros, so a few
-    // dense windows no longer pin the whole conversion on one worker), then
-    // condense AND pack each range as an independent sub-matrix in the
-    // parallel map — packing used to run serially in the merge, which
-    // Amdahl-capped the conversion speedup. The merge below only re-bases
-    // and concatenates the packed arrays.
-    let row_ptr = a.row_ptr();
-    let window_weights: Vec<u64> = (0..num_windows)
-        .map(|w| {
-            let lo = w * WINDOW_HEIGHT;
-            let hi = ((w + 1) * WINDOW_HEIGHT).min(a.rows());
-            (row_ptr[hi] - row_ptr[lo]) as u64
-        })
-        .collect();
-    let window_plan = dtc_par::ShardPlan::weighted(threads, &window_weights);
-    let chunks: Vec<(usize, usize)> = window_plan
-        .chunk_ranges()
-        .iter()
-        .map(|&(ws, we)| (ws * WINDOW_HEIGHT, (we * WINDOW_HEIGHT).min(a.rows())))
-        .collect();
-    if chunks.len() <= 1 {
-        return Ok(MeTcfMatrix::from_csr(a));
-    }
-    let chunk_weights: Vec<u64> =
-        chunks.iter().map(|&(lo, hi)| (row_ptr[hi] - row_ptr[lo]) as u64).collect();
-    let partials: Vec<MeTcfMatrix> = dtc_par::par_map_collect_weighted(&chunk_weights, |i| {
-        let (lo, hi) = chunks[i];
-        MeTcfMatrix::from_condensed(&Condensed::from_csr(&a.sub_rows(lo..hi)))
-    });
-
-    // Merge: re-base window/block offsets and concatenate the arrays.
-    merge_packed(a, &chunks, partials)
-}
-
 /// Rejects counts the ME-TCF `u32` offset arrays cannot address. Checked
 /// once per conversion (blocks <= nnz, so the non-zero count bounds both).
 fn guard_metcf_bounds(nnz: usize) -> Result<(), DtcError> {
@@ -103,67 +31,21 @@ fn guard_metcf_bounds(nnz: usize) -> Result<(), DtcError> {
     Ok(())
 }
 
-fn merge_packed(
-    a: &CsrMatrix,
-    chunks: &[(usize, usize)],
-    partials: Vec<MeTcfMatrix>,
-) -> Result<MeTcfMatrix, DtcError> {
-    let total_windows: usize = partials.iter().map(MeTcfMatrix::num_windows).sum();
-    let total_blocks: usize = partials.iter().map(MeTcfMatrix::num_tc_blocks).sum();
-    let mut row_window_offset: Vec<u32> = Vec::with_capacity(total_windows + 1);
-    let mut tc_offset: Vec<u32> = Vec::with_capacity(total_blocks + 1);
-    let mut tc_local_id: Vec<u8> = Vec::with_capacity(a.nnz());
-    let mut sparse_a_to_b: Vec<u32> = Vec::with_capacity(total_blocks * 8);
-    let mut values: Vec<f32> = Vec::with_capacity(a.nnz());
-    row_window_offset.push(0);
-    tc_offset.push(0);
-    for (m, &(lo, hi)) in partials.iter().zip(chunks) {
-        debug_assert_eq!(m.rows(), hi - lo);
-        // Checked re-basing: these used to be bare `as u32` casts that
-        // silently wrapped past 2^32 accumulated non-zeros or blocks,
-        // corrupting every offset of the remaining chunks.
-        let nnz_base = u32::try_from(tc_local_id.len()).map_err(|_| {
-            DtcError::Format(FormatError::IndexOverflow { what: "nnz", count: tc_local_id.len() })
-        })?;
-        let block_base = u32::try_from(tc_offset.len() - 1).map_err(|_| {
-            DtcError::Format(FormatError::IndexOverflow {
-                what: "tc blocks",
-                count: tc_offset.len() - 1,
-            })
-        })?;
-        for &o in &m.row_window_offset()[1..] {
-            row_window_offset.push(o + block_base);
-        }
-        for &o in &m.tc_offset()[1..] {
-            tc_offset.push(o + nnz_base);
-        }
-        tc_local_id.extend_from_slice(m.tc_local_id());
-        sparse_a_to_b.extend_from_slice(m.sparse_a_to_b());
-        values.extend_from_slice(m.values());
-    }
-    Ok(MeTcfMatrix::from_raw_parts(
-        a.rows(),
-        a.cols(),
-        row_window_offset,
-        tc_offset,
-        tc_local_id,
-        sparse_a_to_b,
-        values,
-    ))
-}
-
-/// Timed parallel conversion with the §6 overhead model attached.
+/// Timed [`MeTcfMatrix::from_csr`] conversion with the §6 overhead model
+/// attached.
 ///
 /// # Errors
 ///
-/// Propagates [`convert_to_metcf_parallel`]'s overflow guard.
+/// Returns [`DtcError::Format`] ([`FormatError::IndexOverflow`]) when the
+/// matrix's non-zero or TC-block count exceeds ME-TCF's `u32` offset range
+/// — the packed arrays would silently wrap otherwise.
 pub fn convert_with_report(
     a: &CsrMatrix,
-    threads: usize,
     device: &dtc_sim::Device,
 ) -> Result<ConversionReport, DtcError> {
+    guard_metcf_bounds(a.nnz())?;
     let start = Instant::now();
-    let metcf = convert_to_metcf_parallel(a, threads)?;
+    let metcf = MeTcfMatrix::from_csr(a);
     let cpu_time = start.elapsed();
     Ok(ConversionReport {
         simulated_gpu_ms: simulated_gpu_conversion_ms(a, device),
@@ -199,30 +81,12 @@ pub fn simulated_gpu_conversion_ms_for(rows: usize, nnz: usize, device: &dtc_sim
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtc_formats::gen::{power_law, uniform};
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let a = power_law(500, 500, 8.0, 2.1, 91);
-        let seq = MeTcfMatrix::from_csr(&a);
-        for threads in [2, 3, 7] {
-            let par = convert_to_metcf_parallel(&a, threads).unwrap();
-            assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_handles_row_counts_not_divisible_by_window() {
-        let a = uniform(497, 300, 3000, 92);
-        let seq = MeTcfMatrix::from_csr(&a);
-        let par = convert_to_metcf_parallel(&a, 4).unwrap();
-        assert_eq!(par, seq);
-    }
+    use dtc_formats::gen::uniform;
 
     #[test]
     fn report_contains_positive_times() {
         let a = uniform(200, 200, 1500, 93);
-        let r = convert_with_report(&a, 2, &dtc_sim::Device::rtx4090()).unwrap();
+        let r = convert_with_report(&a, &dtc_sim::Device::rtx4090()).unwrap();
         assert!(r.simulated_gpu_ms > 0.0);
         assert_eq!(r.metcf.nnz(), a.nnz());
     }
@@ -250,11 +114,5 @@ mod tests {
         let small = simulated_gpu_conversion_ms(&uniform(100, 100, 500, 94), &d);
         let large = simulated_gpu_conversion_ms(&uniform(100, 100, 5000, 94), &d);
         assert!(large > small * 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_panics() {
-        let _ = convert_to_metcf_parallel(&uniform(10, 10, 10, 95), 0);
     }
 }

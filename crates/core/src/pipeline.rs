@@ -12,7 +12,7 @@ use crate::config::EngineConfig;
 use crate::error::DtcError;
 use crate::kernel::{BalancedDtcKernel, DtcKernel, ExecPlan, KernelOpts};
 use crate::selector::{KernelChoice, Selector, SelectorDecision};
-use dtc_baselines::util::{check_spmm_dims, distinct_col_count};
+use dtc_baselines::util::check_spmm_dims;
 use dtc_baselines::SpmmEngine;
 use dtc_formats::{
     CsrMatrix, DeltaReport, DenseMatrix, FormatError, MatrixDelta, MeTcfMatrix, Precision,
@@ -191,34 +191,24 @@ fn build_kernel(
     }
 }
 
-/// Knobs governing how [`DtcSpmm::apply_delta`] reacts to an edit batch.
+/// [`DtcSpmm::apply_delta`] re-runs the simulation-based Selector when the
+/// edit's relative row-length-stat drift ([`DeltaReport::drift`]) exceeds
+/// this: once ~5% of the non-zero/block mass has moved. Value-only updates
+/// drift `0.0` and never re-select.
 ///
-/// Kept outside [`EngineConfig`] on purpose: the policy only shapes *when*
-/// re-selection runs, never the numerical result, so it must not move the
-/// config fingerprint serving pools key on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeltaPolicy {
-    /// Re-run the simulation-based Selector when the edit's relative
-    /// row-length-stat drift ([`DeltaReport::drift`]) exceeds this.
-    /// Value-only updates drift `0.0` and never re-select; the default
-    /// re-selects once ~5% of the non-zero/block mass has moved.
-    pub reselect_drift: f64,
-}
-
-impl Default for DeltaPolicy {
-    fn default() -> Self {
-        DeltaPolicy { reselect_drift: 0.05 }
-    }
-}
+/// Not part of [`EngineConfig`]: it only shapes *when* re-selection runs,
+/// never the numerical result, so it must not move the config fingerprint
+/// serving pools key on.
+pub const RESELECT_DRIFT: f64 = 0.05;
 
 /// What one [`DtcSpmm::apply_delta`] call did.
 #[derive(Debug, Clone)]
 pub struct DeltaOutcome {
     /// Per-window before/after stats from the format-level patch.
     pub report: DeltaReport,
-    /// The relative stat drift that was compared against the policy.
+    /// The relative stat drift that was compared against [`RESELECT_DRIFT`].
     pub drift: f64,
-    /// Whether the Selector re-ran (drift above the policy threshold).
+    /// Whether the Selector re-ran (drift above [`RESELECT_DRIFT`]).
     pub reselected: bool,
     /// The kernel in use after the update (unchanged unless `reselected`).
     pub choice: KernelChoice,
@@ -346,9 +336,9 @@ impl DtcSpmm {
                 .get()
                 .expect("only a delta lowers an engine eagerly, and it leaves `lowered` set")
                 .to_csr();
-            let metcf = crate::convert::convert_to_metcf_parallel(&working, dtc_par::num_threads())
-                .expect("the plan build bounded nnz to ME-TCF's u32 offsets");
-            Lowered::new(metcf, distinct_col_count(&working), &self.config)
+            let metcf = MeTcfMatrix::from_csr(&working);
+            let distinct = metcf.distinct_cols();
+            Lowered::new(metcf, distinct, &self.config)
         })
     }
 
@@ -374,7 +364,7 @@ impl DtcSpmm {
     /// patched window-locally (bitwise identical to a full rebuild over the
     /// edited matrix), the kernel is re-lowered over the patched format,
     /// and the simulation-based Selector re-runs only when the edit's
-    /// row-length-stat drift exceeds [`DeltaPolicy::reselect_drift`] — the
+    /// row-length-stat drift exceeds [`RESELECT_DRIFT`] — the
     /// Acc-SpMM/FlashSparse insight that kernel choice keys on row-length
     /// statistics, so small edits need not pay the makespan replay. The
     /// execute plan is dropped; the next execute rebuilds it from the
@@ -400,11 +390,7 @@ impl DtcSpmm {
     /// matrix would overflow ME-TCF's `u32` offsets; the engine (and every
     /// cache) is unchanged on error, except that its ME-TCF may now be
     /// built.
-    pub fn apply_delta(
-        &mut self,
-        delta: &MatrixDelta,
-        policy: &DeltaPolicy,
-    ) -> Result<DeltaOutcome, DtcError> {
+    pub fn apply_delta(&mut self, delta: &MatrixDelta) -> Result<DeltaOutcome, DtcError> {
         let _span = dtc_telemetry::span("pipeline.delta");
         // Remap edit rows into the engine's internal (reordered) row space
         // through the inverse permutation (original row -> reordered row).
@@ -471,7 +457,7 @@ impl DtcSpmm {
         // Drift-gated re-selection: below the threshold the previous
         // decision (and its makespan model) is reused as-is.
         let drift = report.drift();
-        let reselected = drift > policy.reselect_drift;
+        let reselected = drift > RESELECT_DRIFT;
         let lowered = self.lowered.get_mut().expect("the patch above lowered the engine");
         if reselected {
             *lowered = Lowered::new(patched, distinct, &self.config);
@@ -530,7 +516,10 @@ impl SpmmEngine for DtcSpmm {
         // field reordering and allocation-free, so a modified clone of a
         // preset never aliases the preset's cached traces.
         let key = (n, device.fingerprint(), record_b_addrs);
-        if let Some(hit) = self.trace_cache.lock().unwrap().get(&key).cloned() {
+        // Look up in its own statement, so the guard is dropped before the
+        // hit path touches the telemetry registry's lock.
+        let cached = self.trace_cache.lock().unwrap().get(&key).cloned();
+        if let Some(hit) = cached {
             crate::telemetry::trace_cache_hits().incr();
             return hit;
         }
@@ -546,6 +535,7 @@ impl SpmmEngine for DtcSpmm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtc_baselines::util::distinct_col_count;
     use dtc_formats::gen::{community, long_row, uniform};
     use dtc_formats::tf32::TF32_UNIT_ROUNDOFF;
 
@@ -627,7 +617,7 @@ mod tests {
         let b = DenseMatrix::from_fn(320, 8, |r, c| ((r * 7 + c) % 13) as f32 - 6.0);
         let mut engine = DtcSpmm::new(&a);
         let before = engine.execute(&b).unwrap();
-        let outcome = engine.apply_delta(&delta, &DeltaPolicy::default()).unwrap();
+        let outcome = engine.apply_delta(&delta).unwrap();
         let edited = delta.apply_to_csr(&a).unwrap();
         let fresh = DtcSpmm::new(&edited);
         assert_eq!(engine.metcf(), fresh.metcf(), "patched format must equal rebuild");
@@ -651,7 +641,7 @@ mod tests {
         delta.insert(5, 7, 2.5);
         delta.delete(100, 100);
         delta.insert(200, 3, -1.0);
-        engine.apply_delta(&delta, &DeltaPolicy::default()).unwrap();
+        engine.apply_delta(&delta).unwrap();
         assert_eq!(engine.permutation().unwrap(), perm_before, "permutation is frozen");
         // Against the reference: edits were expressed in original rows.
         let edited = delta.apply_to_csr(&a).unwrap();
@@ -671,25 +661,21 @@ mod tests {
         let mut tiny = MatrixDelta::new();
         let (r0, c0, _) = a.iter().next().unwrap();
         tiny.update(r0, c0, 42.0);
-        let out = engine.apply_delta(&tiny, &DeltaPolicy::default()).unwrap();
+        let out = engine.apply_delta(&tiny).unwrap();
         assert_eq!(out.drift, 0.0);
         assert!(!out.reselected);
 
-        // A heavy reshape under a zero threshold must reselect.
+        // A heavy reshape (half as many non-zeros again) drifts past the
+        // threshold and must reselect.
         let mut heavy = MatrixDelta::new();
         for r in 0..640 {
             for c in 0..4 {
                 heavy.insert(r, (r + c * 160) % 640, 1.0);
             }
         }
-        let out = engine.apply_delta(&heavy, &DeltaPolicy { reselect_drift: 0.0 }).unwrap();
-        assert!(out.drift > 0.0);
+        let out = engine.apply_delta(&heavy).unwrap();
+        assert!(out.drift > RESELECT_DRIFT);
         assert!(out.reselected);
-
-        // The same edit under an infinite threshold keeps the old decision.
-        let mut engine2 = DtcSpmm::new(&a);
-        let out2 = engine2.apply_delta(&heavy, &DeltaPolicy { reselect_drift: f64::MAX }).unwrap();
-        assert!(!out2.reselected);
     }
 
     #[test]
@@ -701,7 +687,7 @@ mod tests {
         let mut delta = MatrixDelta::new();
         delta.insert(0, 1, 1.0);
         delta.insert(0, 500, 1.0); // col out of bounds
-        let err = engine.apply_delta(&delta, &DeltaPolicy::default()).unwrap_err();
+        let err = engine.apply_delta(&delta).unwrap_err();
         assert!(matches!(err, DtcError::Format(FormatError::IndexOutOfBounds { .. })));
         assert_eq!(*engine.key(), key_before);
         assert_eq!(*engine.metcf(), metcf_before);
@@ -714,7 +700,7 @@ mod tests {
         let pre_key = engine.key().clone();
         let mut delta = MatrixDelta::new();
         delta.insert(17, 200, 3.5);
-        engine.apply_delta(&delta, &DeltaPolicy::default()).unwrap();
+        engine.apply_delta(&delta).unwrap();
         // The pre-edit conversion is gone: invalidating it again finds
         // nothing, and the engine's key advanced to the edited identity.
         assert_eq!(crate::cache::invalidate_conversion(&pre_key), 0);
@@ -741,7 +727,7 @@ mod tests {
         for c in 0..64 {
             delta.insert(3, c * 4, 1.0);
         }
-        engine.apply_delta(&delta, &DeltaPolicy::default()).unwrap();
+        engine.apply_delta(&delta).unwrap();
         assert_eq!(
             engine.trace_cache.lock().unwrap().len(),
             0,

@@ -5,8 +5,8 @@
 //! on a parallel test thread. This file is its own test binary with one
 //! test, so nothing else converts while it reads the counter.
 
-use dtc_core::cache::metcf_for;
-use dtc_core::{conversion_cache_stats, invalidate_conversion, KeyMaterial};
+use dtc_core::cache::plan_for;
+use dtc_core::{conversion_cache_stats, invalidate_conversion, KeyMaterial, Precision};
 use dtc_formats::gen::uniform;
 use std::sync::Arc;
 
@@ -18,26 +18,26 @@ fn misses() -> u64 {
 fn lookups_and_invalidation_count_exact_misses() {
     // The same matrix hits; a distinct matrix of the same shape misses.
     let a = uniform(128, 128, 900, 321);
-    let first = metcf_for(&a).unwrap();
+    let first = plan_for(&a, &KeyMaterial::of(&a), Precision::Tf32).unwrap();
     let misses0 = misses();
-    let again = metcf_for(&a).unwrap();
+    let again = plan_for(&a, &KeyMaterial::of(&a), Precision::Tf32).unwrap();
     assert!(Arc::ptr_eq(&first, &again), "expected the cached Arc back");
     let misses1 = misses();
     assert_eq!(misses1, misses0, "second lookup must not convert");
 
     let b = uniform(128, 128, 900, 322); // same shape, different structure
-    let other = metcf_for(&b).unwrap();
+    let other = plan_for(&b, &KeyMaterial::of(&b), Precision::Tf32).unwrap();
     assert!(!Arc::ptr_eq(&first, &other));
     assert_eq!(misses(), misses1 + 1);
 
     // Invalidation purges the entry: the next lookup reconverts (a fresh
     // Arc) instead of serving the purged one.
     let a = uniform(144, 144, 1000, 8181);
-    let first = metcf_for(&a).unwrap();
+    let first = plan_for(&a, &KeyMaterial::of(&a), Precision::Tf32).unwrap();
     let material = KeyMaterial::of(&a);
     assert_eq!(invalidate_conversion(&material), 1);
     let misses0 = misses();
-    let again = metcf_for(&a).unwrap();
+    let again = plan_for(&a, &KeyMaterial::of(&a), Precision::Tf32).unwrap();
     assert!(!Arc::ptr_eq(&first, &again), "invalidated entry must not be served");
     assert_eq!(misses(), misses0 + 1);
 

@@ -7,11 +7,9 @@
 //!    each kernel's lowered trace is replayed through the full `dtc-verify`
 //!    lint battery (structural, resources, conservation, coverage,
 //!    speed-of-light over a simulated report).
-//! 2. **Conversion paths** — serial SGT condensing
-//!    (`MeTcfMatrix::from_csr`) versus the parallel merge
-//!    (`convert_to_metcf_parallel`) and versus the ME-TCF a `DtcSpmm`
-//!    engine builds on demand, plus the `to_csr` round-trip, must agree
-//!    bit-for-bit.
+//! 2. **Conversion paths** — `MeTcfMatrix::from_csr` at 1 and at 4
+//!    worker threads, and the ME-TCF a `DtcSpmm` engine builds on demand,
+//!    plus the `to_csr` round-trip, must agree bit-for-bit.
 //! 3. **Pipeline** — the end-to-end `DtcSpmm` engine with TCA reordering
 //!    on and off (exercising the plan cache and the permutation undo)
 //!    must also land inside the envelope.
@@ -35,9 +33,8 @@ use dtc_baselines::{
     BlockSpmm, CusparseSpmm, FlashLlmSpmm, HpSpmm, HybridSplitSpmm, SparseTirSpmm, SpartaSpmm,
     SpmmEngine, SputnikSpmm, TcgnnSpmm, SPARTA_DEFAULT_LIMIT,
 };
-use dtc_core::cache::{clear_conversion_cache, metcf_for};
-use dtc_core::convert::convert_to_metcf_parallel;
-use dtc_core::{BalancedDtcKernel, DtcKernel, DtcSpmm, ExecPlan};
+use dtc_core::cache::{clear_conversion_cache, plan_for};
+use dtc_core::{BalancedDtcKernel, DtcKernel, DtcSpmm, ExecPlan, KeyMaterial};
 use dtc_formats::{CsrMatrix, DenseMatrix, MatrixDelta, MeTcfMatrix, Precision};
 use dtc_sim::{simulate, Device, SimOptions};
 use dtc_verify::{verify_report, verify_trace, ProblemSpec, Severity, TraceCase};
@@ -55,7 +52,8 @@ pub enum FailureKind {
     ValueMismatch,
     /// The lowered trace produced error-severity `dtc-verify` diagnostics.
     LintError,
-    /// Serial and parallel ME-TCF conversion disagree.
+    /// ME-TCF conversions disagree (1 vs 4 workers, or the engine's
+    /// on-demand build).
     ConversionDiverged,
     /// `MeTcfMatrix::to_csr` does not reproduce the operand.
     RoundTripBroken,
@@ -380,7 +378,10 @@ fn check_cache(a: &CsrMatrix, out: &mut CaseOutcome) {
             // Fuzz cases are far inside the u32 offset bounds, so a
             // conversion error here is a panic-worthy harness bug (and is
             // caught by `guarded` as a reportable failure either way).
-            let plan = |m: &CsrMatrix| metcf_for(m).expect("fuzz case within u32 bounds");
+            let plan = |m: &CsrMatrix| {
+                plan_for(m, &KeyMaterial::of(m), Precision::Tf32)
+                    .expect("fuzz case within u32 bounds")
+            };
             dtc_par::set_threads(Some(threads));
             clear_conversion_cache();
             let cold_a = plan(a);
@@ -412,26 +413,33 @@ fn check_cache(a: &CsrMatrix, out: &mut CaseOutcome) {
     }
 }
 
-/// The conversion-path differential: serial vs parallel vs the engine's
-/// on-demand build, plus round-trip.
+/// The conversion-path differential: `from_csr` at 1 vs 4 worker threads
+/// vs the engine's on-demand build, plus round-trip.
 fn check_conversion(a: &CsrMatrix, out: &mut CaseOutcome) {
-    let serial = match guarded(|| MeTcfMatrix::from_csr(a)) {
+    let convert_at = |threads: usize| {
+        let m = guarded(|| {
+            dtc_par::set_threads(Some(threads));
+            MeTcfMatrix::from_csr(a)
+        });
+        dtc_par::set_threads(None);
+        m
+    };
+    let serial = match convert_at(1) {
         Err(msg) => {
             out.push("convert/serial", FailureKind::Panic, msg);
             return;
         }
         Ok(m) => m,
     };
-    match guarded(|| convert_to_metcf_parallel(a, 2)) {
+    match convert_at(4) {
         Err(msg) => out.push("convert/parallel", FailureKind::Panic, msg),
-        Ok(Err(e)) => out.push("convert/parallel", FailureKind::ExecError, e.to_string()),
-        Ok(Ok(parallel)) => {
+        Ok(parallel) => {
             if !metcf_bitwise_eq(&parallel, &serial) {
                 out.push(
                     "convert/parallel",
                     FailureKind::ConversionDiverged,
                     format!(
-                        "parallel merge: {} blocks vs serial {} blocks",
+                        "4 workers: {} blocks vs 1 worker {} blocks",
                         parallel.num_tc_blocks(),
                         serial.num_tc_blocks()
                     ),

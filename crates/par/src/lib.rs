@@ -29,14 +29,15 @@
 //!
 //! Thread count resolution order: [`set_threads`] override (used by bench
 //! sweeps), then the `DTC_THREADS` environment variable, then
-//! `std::thread::available_parallelism()`. `threads == 1` runs the exact
-//! serial loop on the calling thread — no spawn, no overhead. With more
-//! bands, the calling thread runs band 0 itself, as a worker, and spawns
-//! one scoped thread per other band: a section of `b` bands costs `b − 1`
-//! spawns. Parallel sections never nest OS threads: an engine entered from
-//! inside a worker (band 0 on the caller included) runs its indices
-//! serially on that worker (results are identical either way, and nested
-//! spawning only ever added overhead).
+//! `std::thread::available_parallelism()`; the last two are read once per
+//! process. `threads == 1` runs the exact serial loop on the calling
+//! thread — no spawn, no overhead. With more bands, the calling thread
+//! runs band 0 itself, as a worker, and spawns one scoped thread per other
+//! band: a section of `b` bands costs `b − 1` spawns. Parallel sections
+//! never nest OS threads: an engine entered from inside a worker (band 0
+//! on the caller included) runs its indices serially on that worker
+//! (results are identical either way, and nested spawning only ever added
+//! overhead).
 //!
 //! # Measuring on small hosts
 //!
@@ -81,20 +82,22 @@ pub fn set_threads(threads: Option<usize>) {
 ///
 /// Order: [`set_threads`] override, then `DTC_THREADS` (positive integer;
 /// unparsable or zero values are ignored), then the detected parallelism.
-/// Always at least 1.
+/// Always at least 1. The environment and the detected parallelism are
+/// read on the first call only: detection reads cgroup files on Linux,
+/// which cost far more than a small parallel section.
 pub fn num_threads() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
     }
-    if let Ok(v) = std::env::var("DTC_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("DTC_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// Splits `n` work units into at most `threads` contiguous bands.
@@ -466,8 +469,9 @@ fn steal_from<J>(queues: &[Mutex<VecDeque<J>>], w: usize, seed: u64) -> Option<J
         if v == w {
             continue;
         }
-        if let Some(job) = queues[v].lock().unwrap_or_else(PoisonError::into_inner).pop_back() {
-            return Some(job);
+        let stolen = queues[v].lock().unwrap_or_else(PoisonError::into_inner).pop_back();
+        if stolen.is_some() {
+            return stolen;
         }
     }
     None
@@ -725,8 +729,9 @@ where
     par_map_collect_with(num_threads(), n, f)
 }
 
-/// [`par_map_collect`] with an explicit thread count (callers that sweep or
-/// pin thread counts, e.g. `convert_to_metcf_parallel`).
+/// [`par_map_collect`] with an explicit thread count, for callers that
+/// pin it for one section without touching the process-wide
+/// [`set_threads`] override.
 pub fn par_map_collect_with<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -854,25 +859,6 @@ where
         steals,
         virtual_mode: virtual_time_enabled(),
     });
-}
-
-/// Runs two independent closures, in parallel when more than one thread is
-/// available, returning both results.
-pub fn join<RA, RB, FA, FB>(fa: FA, fb: FB) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    FA: FnOnce() -> RA + Send,
-    FB: FnOnce() -> RB + Send,
-{
-    if num_threads() <= 1 || in_worker() || virtual_time_enabled() {
-        return (fa(), fb());
-    }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(fb);
-        let ra = fa();
-        (ra, hb.join().expect("dtc-par worker panicked"))
-    })
 }
 
 #[cfg(test)]
@@ -1148,18 +1134,6 @@ mod tests {
             });
             let expect: Vec<u64> = (0..len as u64).map(|i| i * 2 + 1).collect();
             assert_eq!(data, expect, "len={len}");
-        }
-        set_threads(None);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let _guard = lock();
-        for threads in [1usize, 4] {
-            set_threads(Some(threads));
-            let (a, b) = join(|| 2 + 2, || "ok".to_string());
-            assert_eq!(a, 4);
-            assert_eq!(b, "ok");
         }
         set_threads(None);
     }

@@ -61,7 +61,8 @@ pub fn workspace_lock_graph() -> LockGraph {
     // queue lock guards only the deque (sequence numbers are an atomic
     // bumped under it), the pool drops its lock before the engine build
     // starts (coalescing via the OnceLock), and the trace memo wraps a
-    // pure lowering.
+    // pure lowering and drops its lookup guard before the hit counter
+    // registers.
     let _ = (queue, pool, trace);
     g.edge(prepare, conv, "serve/src/pool.rs::get_or_prepare (engine build)");
     g.edge(prepare, deque, "core/src/kernel/mod.rs::ExecPlan::from_csr (under build)");

@@ -13,10 +13,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dtc_core::cache::metcf_for;
+use dtc_core::cache::plan_for;
 use dtc_core::{
-    invalidate_conversion, DeltaPolicy, DtcSpmm, EngineConfig, EngineKind, ExecPlan, KeyMaterial,
-    MatrixDelta, Precision, SpmmEngine,
+    invalidate_conversion, DtcSpmm, EngineConfig, EngineKind, ExecPlan, KeyMaterial, MatrixDelta,
+    Precision, SpmmEngine,
 };
 use dtc_formats::{gen::uniform, CsrMatrix, DenseMatrix};
 use dtc_serve::{Request, ServeConfig, SpmmServer};
@@ -94,7 +94,7 @@ proptest! {
         let _warm_trace = engine.trace(8, &device, false);
 
         // The edit, then the serving layer's invalidation hook.
-        engine.apply_delta(&delta, &DeltaPolicy::default()).expect("in-bounds delta");
+        engine.apply_delta(&delta).expect("in-bounds delta");
         let dropped = server.invalidate_matrix(&pre_material);
         prop_assert_eq!(dropped, 1, "exactly the pooled pre-edit engine must drop");
         prop_assert!(server.pool().is_empty());
@@ -122,7 +122,8 @@ proptest! {
         prop_assert_eq!(value_bits(&served), value_bits(&patched_out));
 
         // And the plan cache now serves only the post-edit plan.
-        let conv = metcf_for(&edited).expect("within u32 bounds");
+        let conv = plan_for(&edited, &KeyMaterial::of(&edited), Precision::Tf32)
+            .expect("within u32 bounds");
         prop_assert!(*conv == ExecPlan::from_metcf(engine.metcf(), Precision::Tf32));
     }
 }
@@ -143,7 +144,9 @@ proptest! {
         let b = fresh_matrix(64, 64, 400, seed ^ 0xB000);
 
         // Warm both, in either order.
-        let warm = |m: &CsrMatrix| metcf_for(m).expect("within u32 bounds");
+        let warm = |m: &CsrMatrix| {
+            plan_for(m, &KeyMaterial::of(m), Precision::Tf32).expect("within u32 bounds")
+        };
         let arc_b = if a_last {
             let arc_b = warm(&b);
             warm(&a);
@@ -157,16 +160,16 @@ proptest! {
         let mut delta = MatrixDelta::new();
         delta.insert(3, 7, 4.25);
         delta.delete(1, 1);
-        engine.apply_delta(&delta, &DeltaPolicy::default()).expect("in-bounds delta");
+        engine.apply_delta(&delta).expect("in-bounds delta");
 
         // The purge was by key: the neighbor is still resident (same Arc
         // back), the pre-edit identity is gone, and the edited identity
         // resolves to post-edit state only.
-        let b_again = metcf_for(&b).expect("within u32 bounds");
+        let b_again = warm(&b);
         prop_assert!(Arc::ptr_eq(&arc_b, &b_again), "neighbor evicted by a foreign purge");
         prop_assert_eq!(invalidate_conversion(&material_a), 0);
         let edited = delta.apply_to_csr(&a).expect("in-bounds delta");
-        let conv = metcf_for(&edited).expect("within u32 bounds");
+        let conv = warm(&edited);
         prop_assert!(*conv == ExecPlan::from_csr(&edited, Precision::Tf32).expect("within u32 bounds"));
         prop_assert!(*conv == ExecPlan::from_metcf(engine.metcf(), Precision::Tf32));
     }

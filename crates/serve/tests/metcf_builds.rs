@@ -10,7 +10,7 @@
 use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 
-use dtc_core::{prepare, DeltaPolicy, DtcSpmm, EngineConfig, EngineKind, MatrixDelta, SpmmEngine};
+use dtc_core::{prepare, DtcSpmm, EngineConfig, EngineKind, MatrixDelta, SpmmEngine};
 use dtc_formats::{gen, CsrMatrix, DenseMatrix};
 use dtc_serve::{Request, ServeConfig, SpmmServer};
 use dtc_sim::Device;
@@ -85,7 +85,7 @@ fn each_simulator_accessor_builds_metcf_once_per_engine() {
             black_box(e.simulate(8, d));
         }),
         ("apply_delta", |e, _, delta| {
-            e.apply_delta(delta, &DeltaPolicy::default()).expect("in-bounds delta");
+            e.apply_delta(delta).expect("in-bounds delta");
         }),
     ];
     for (name, force) in accessors {

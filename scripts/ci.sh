@@ -77,8 +77,12 @@ cargo run --release -q -p dtc-bench --bin parallel_scaling -- --smoke
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "== cargo clippy -D warnings"
-cargo clippy --workspace --all-targets --all-features -- -D warnings
+# significant_drop_in_scrutinee: a lock guard in an `if let`/`match`
+# scrutinee lives through the whole body, so anything that body locks
+# becomes an acquired-while-holding edge the lock graph must list.
+echo "== cargo clippy -D warnings -D clippy::significant_drop_in_scrutinee"
+cargo clippy --workspace --all-targets --all-features -- -D warnings \
+    -D clippy::significant_drop_in_scrutinee
 
 echo "== cargo doc -D warnings (rustdoc lints, intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
