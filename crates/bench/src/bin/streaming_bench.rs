@@ -1,34 +1,42 @@
-//! `streaming_bench`: incremental delta updates vs full engine rebuilds.
+//! `streaming_bench`: incremental ME-TCF delta patches vs full
+//! conversions.
 //!
 //! Streaming workloads (graph updates, online pruning) edit a few entries
-//! of a resident matrix at a time. The paper's conversion-cost argument
-//! cuts both ways there: a full rebuild pays CSR reconstruction, SGT
-//! condensing and the simulation-based Selector on every edit batch,
-//! while `DtcSpmm::apply_delta` re-condenses only the touched 16-row
-//! windows, splices them in place, drops every stale cached artifact, and
-//! re-runs the Selector only when the row-length stats drift.
+//! of a resident matrix at a time. The paper converts each 16-row window
+//! on its own, which cuts both ways there: a full rebuild pays CSR
+//! reconstruction and SGT condensing of every window on every edit batch,
+//! while `MeTcfMatrix::apply_delta` re-condenses only the touched windows
+//! and splices them into the resident format.
 //!
 //! The sweep scales the number of touched windows per edit batch and
-//! times both paths end to end (the rebuild path includes constructing
-//! the edited CSR, which any rebuild consumer must also do), in
-//! interleaved pairs. Reported per point: the median ms per edit batch for
-//! each path and the median per-pair delta-path speedup; the summary locates the **crossover** — the smallest touched-window count
-//! where patching stops beating rebuilding — which full-matrix sweeps
-//! never reach. Writes `BENCH_streaming.json`.
+//! times both paths at the format level, in interleaved pairs: the delta
+//! path patches an untimed clone of the resident ME-TCF, and the rebuild
+//! path constructs the edited CSR (which any rebuild consumer must also
+//! do) and converts it. Reported per point: the median ms per edit batch
+//! for each path and the median per-pair delta-path speedup; the summary
+//! locates the **crossover** — the smallest touched-window count where
+//! patching stops beating rebuilding — which full-matrix sweeps never
+//! reach. Writes `BENCH_streaming.json`.
 //!
-//! Every run first pins correctness: for each point the patched engine's
-//! ME-TCF must be **bitwise identical** to a fresh build over the edited
-//! matrix, and a post-delta execute must match the rebuilt engine's
-//! output bit for bit.
+//! One host point is recorded too, ungated: at one touched window,
+//! `DtcSpmm::apply_delta` plus one N = 16 execute against the edited CSR,
+//! a cold `DtcSpmm::new` and the same execute. An engine delta is an edit
+//! plus a plan build, so the two sides differ only in how the edited
+//! matrix is reached.
+//!
+//! Every run first pins correctness: for each point the patched ME-TCF
+//! must be **bitwise identical** to a conversion of the edited matrix,
+//! and an engine edited by `apply_delta` must match a fresh build over
+//! the edited matrix bit for bit, in its ME-TCF and its execute output.
 //!
 //! Gates (smoke and full): bitwise identity at every point, a ≥ 5x
 //! single-window speedup (the acceptance bar for the delta path), and
 //! crossover sanity — the single-window speedup must be at least the
 //! all-windows speedup, so the curve trends the right way.
 
-use dtc_core::{clear_conversion_cache, DtcSpmm, MatrixDelta, SpmmEngine, RESELECT_DRIFT};
+use dtc_core::{clear_conversion_cache, DtcSpmm, MatrixDelta, SpmmEngine};
 use dtc_formats::gen::uniform;
-use dtc_formats::{CsrMatrix, DenseMatrix};
+use dtc_formats::{CsrMatrix, DenseMatrix, MeTcfMatrix};
 use dtc_telemetry::json::Json;
 use std::time::Instant;
 
@@ -40,6 +48,9 @@ use std::time::Instant;
 const REPS: usize = 21;
 const SMOKE_REPS: usize = 81;
 
+/// Operand width of the host point's execute.
+const HOST_N: usize = 16;
+
 /// One sweep point: median ms per path, and the median per-pair speedup.
 struct Point {
     windows_touched: usize,
@@ -47,9 +58,7 @@ struct Point {
     delta_ms: f64,
     rebuild_ms: f64,
     speedup: f64,
-    reselected: bool,
 }
-
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
     xs[xs.len() / 2]
@@ -91,66 +100,108 @@ fn make_delta(a: &CsrMatrix, k: usize, seed: u64) -> MatrixDelta {
     delta
 }
 
-/// Pins the point's correctness: patching in place must equal a fresh
-/// build over the edited matrix — format bitwise, output bitwise.
-fn assert_bitwise(a: &CsrMatrix, delta: &MatrixDelta) {
-    let mut patched = DtcSpmm::new(a);
-    patched.apply_delta(delta).expect("apply_delta");
-    let edited = delta.apply_to_csr(a).expect("apply_to_csr");
-    clear_conversion_cache();
-    let rebuilt = DtcSpmm::new(&edited);
-    assert_eq!(patched.metcf(), rebuilt.metcf(), "patched ME-TCF must equal rebuild");
-    let b = DenseMatrix::from_fn(a.cols(), 16, |r, c| ((r * 7 + c * 3) % 17) as f32 * 0.25 - 2.0);
-    let via_patch = patched.execute(&b).expect("patched execute");
-    let via_rebuild = rebuilt.execute(&b).expect("rebuilt execute");
-    let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&via_patch), bits(&via_rebuild), "post-delta execute diverged");
+/// The dense operand every execute here multiplies by.
+fn operand(a: &CsrMatrix) -> DenseMatrix {
+    DenseMatrix::from_fn(a.cols(), HOST_N, |r, c| ((r * 7 + c * 3) % 17) as f32 * 0.25 - 2.0)
 }
 
-/// Times one edit-batch size: the delta path (in-place `apply_delta` on a
-/// prepared engine) against the rebuild path (edited-CSR construction
-/// plus a cold `DtcSpmm::new` and its ME-TCF), in `reps` interleaved
-/// pairs. The engine the delta path patches is rebuilt untimed before
-/// every pair, since `apply_delta` consumes the pre-edit state, and its
-/// ME-TCF is built untimed too: both paths then end holding ME-TCF, and
-/// the delta path is charged only for patching it.
-fn sweep_point(a: &CsrMatrix, k: usize, reps: usize) -> Point {
-    let delta = make_delta(a, k, 0x57AE_A41B ^ k as u64);
-    assert_bitwise(a, &delta);
+/// Pins the point's correctness: the patched format must equal a
+/// conversion of the edited matrix, and an engine edited in place must
+/// equal a fresh build over it — format bitwise, output bitwise.
+fn assert_bitwise(a: &CsrMatrix, resident: &MeTcfMatrix, delta: &MatrixDelta) {
+    let edited = delta.apply_to_csr(a).expect("apply_to_csr");
+    let mut patched = resident.clone();
+    patched.apply_delta(delta).expect("apply_delta");
+    assert_eq!(patched, MeTcfMatrix::from_csr(&edited), "patched ME-TCF must equal rebuild");
 
+    let mut engine = DtcSpmm::new(a);
+    engine.apply_delta(delta).expect("apply_delta");
+    clear_conversion_cache();
+    let rebuilt = DtcSpmm::new(&edited);
+    assert_eq!(engine.metcf(), rebuilt.metcf(), "edited engine's ME-TCF must equal rebuild");
+    let b = operand(a);
+    let via_delta = engine.execute(&b).expect("edited execute");
+    let via_rebuild = rebuilt.execute(&b).expect("rebuilt execute");
+    let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&via_delta), bits(&via_rebuild), "post-delta execute diverged");
+}
+
+/// Runs `reps` interleaved (delta, rebuild) pairs. Each closure does its
+/// untimed set-up, then returns the ms its own path took. Returns each
+/// path's median ms and the median per-pair ratio (rebuild over delta).
+fn time_pairs(
+    reps: usize,
+    mut delta: impl FnMut() -> f64,
+    mut rebuild: impl FnMut() -> f64,
+) -> (f64, f64, f64) {
     let (mut delta_ms, mut rebuild_ms, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    let mut reselected = false;
     for _ in 0..reps {
-        clear_conversion_cache();
-        let mut engine = DtcSpmm::new(a);
-        std::hint::black_box(engine.metcf());
-        let t0 = Instant::now();
-        let outcome = engine.apply_delta(&delta).expect("apply_delta");
-        let d = t0.elapsed().as_secs_f64() * 1e3;
-        reselected = outcome.reselected;
-        std::hint::black_box(&engine);
-
-        clear_conversion_cache();
-        let t0 = Instant::now();
-        let edited = delta.apply_to_csr(a).expect("apply_to_csr");
-        let engine = DtcSpmm::new(&edited);
-        std::hint::black_box(engine.metcf());
-        let r = t0.elapsed().as_secs_f64() * 1e3;
-        std::hint::black_box(&engine);
-
+        let (d, r) = (delta(), rebuild());
         delta_ms.push(d);
         rebuild_ms.push(r);
         ratios.push(r / d);
     }
+    (median(delta_ms), median(rebuild_ms), median(ratios))
+}
 
-    Point {
-        windows_touched: k,
-        ops: delta.len(),
-        delta_ms: median(delta_ms),
-        rebuild_ms: median(rebuild_ms),
-        speedup: median(ratios),
-        reselected,
-    }
+fn elapsed_ms(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// Times one edit-batch size: the delta path (`MeTcfMatrix::apply_delta`
+/// on an untimed clone of the resident format, since a patch consumes the
+/// pre-edit state) against the rebuild path (edited-CSR construction plus
+/// `MeTcfMatrix::from_csr`).
+fn sweep_point(a: &CsrMatrix, resident: &MeTcfMatrix, k: usize, reps: usize) -> Point {
+    let delta = make_delta(a, k, 0x57AE_A41B ^ k as u64);
+    assert_bitwise(a, resident, &delta);
+    let (delta_ms, rebuild_ms, speedup) = time_pairs(
+        reps,
+        || {
+            let mut patched = resident.clone();
+            let t0 = Instant::now();
+            patched.apply_delta(&delta).expect("apply_delta");
+            let ms = elapsed_ms(t0);
+            std::hint::black_box(patched);
+            ms
+        },
+        || {
+            let t0 = Instant::now();
+            let edited = delta.apply_to_csr(a).expect("apply_to_csr");
+            let rebuilt = MeTcfMatrix::from_csr(&edited);
+            let ms = elapsed_ms(t0);
+            std::hint::black_box(rebuilt);
+            ms
+        },
+    );
+    Point { windows_touched: k, ops: delta.len(), delta_ms, rebuild_ms, speedup }
+}
+
+/// The host point: one-window `DtcSpmm::apply_delta` plus an execute on
+/// a prepared engine (rebuilt untimed before every pair) against
+/// `apply_to_csr` plus a cold `DtcSpmm::new` plus the same execute.
+fn host_point(a: &CsrMatrix, reps: usize) -> (f64, f64, f64) {
+    let delta = make_delta(a, 1, 0x57AE_A41B ^ 1);
+    let b = operand(a);
+    time_pairs(
+        reps,
+        || {
+            clear_conversion_cache();
+            let mut engine = DtcSpmm::new(a);
+            let t0 = Instant::now();
+            engine.apply_delta(&delta).expect("apply_delta");
+            std::hint::black_box(engine.execute(&b).expect("execute"));
+            elapsed_ms(t0)
+        },
+        || {
+            clear_conversion_cache();
+            let t0 = Instant::now();
+            let edited = delta.apply_to_csr(a).expect("apply_to_csr");
+            let engine = DtcSpmm::new(&edited);
+            std::hint::black_box(engine.execute(&b).expect("execute"));
+            elapsed_ms(t0)
+        },
+    )
 }
 
 fn json_point(p: &Point) -> Json {
@@ -160,7 +211,6 @@ fn json_point(p: &Point) -> Json {
         ("delta_ms", Json::f(p.delta_ms, 4)),
         ("rebuild_ms", Json::f(p.rebuild_ms, 4)),
         ("speedup", Json::f(p.speedup, 3)),
-        ("reselected", Json::bool(p.reselected)),
     ])
 }
 
@@ -176,6 +226,7 @@ fn main() {
     };
     let a = uniform(rows, rows, rows * nnz_per_row, 0xD7C5_57AE);
     let windows = rows.div_ceil(16);
+    let resident = MeTcfMatrix::from_csr(&a);
     let reps = if smoke { SMOKE_REPS } else { REPS };
     println!(
         "## streaming — {rows}x{rows}, {} nnz, {windows} windows, {} edit-batch sizes, \
@@ -184,16 +235,22 @@ fn main() {
         ks.len()
     );
 
-    let points: Vec<Point> = ks.iter().map(|&k| sweep_point(&a, k, reps)).collect();
+    let points: Vec<Point> = ks.iter().map(|&k| sweep_point(&a, &resident, k, reps)).collect();
 
-    println!("\n| windows touched | ops | delta ms | rebuild ms | speedup | reselected |");
-    println!("|---|---|---|---|---|---|");
+    println!("\n| windows touched | ops | delta ms | rebuild ms | speedup |");
+    println!("|---|---|---|---|---|");
     for p in &points {
         println!(
-            "| {} | {} | {:.4} | {:.4} | {:.2}x | {} |",
-            p.windows_touched, p.ops, p.delta_ms, p.rebuild_ms, p.speedup, p.reselected
+            "| {} | {} | {:.4} | {:.4} | {:.2}x |",
+            p.windows_touched, p.ops, p.delta_ms, p.rebuild_ms, p.speedup
         );
     }
+
+    let (host_delta_ms, host_rebuild_ms, host_ratio) = host_point(&a, reps);
+    println!(
+        "\nhost point (1 window, N = {HOST_N}, ungated): engine delta + execute {host_delta_ms:.4} ms, \
+         apply_to_csr + new + execute {host_rebuild_ms:.4} ms, ratio {host_ratio:.2}x"
+    );
 
     // The crossover: the smallest touched-window count where patching no
     // longer beats rebuilding (None when patching wins everywhere).
@@ -237,9 +294,18 @@ fn main() {
                 ("windows", Json::usize(windows)),
             ]),
         ),
-        ("reselect_drift", Json::f(RESELECT_DRIFT, 3)),
         ("points", Json::arr(points.iter().map(json_point).collect())),
         ("crossover_windows", crossover.map_or(Json::str("none"), Json::usize)),
+        (
+            "host_point",
+            Json::obj_inline(vec![
+                ("windows_touched", Json::usize(1)),
+                ("n", Json::usize(HOST_N)),
+                ("delta_execute_ms", Json::f(host_delta_ms, 4)),
+                ("rebuild_execute_ms", Json::f(host_rebuild_ms, 4)),
+                ("ratio", Json::f(host_ratio, 3)),
+            ]),
+        ),
     ])
     .render();
     let artifact = if smoke { "BENCH_streaming_smoke.json" } else { "BENCH_streaming.json" };

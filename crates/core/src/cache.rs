@@ -22,8 +22,8 @@ use crate::kernel::ExecPlan;
 use crate::telemetry::{
     conversion_cache_hits, conversion_cache_invalidations, conversion_cache_misses,
 };
-use dtc_formats::{CsrMatrix, MeTcfMatrix, Precision, BLOCK_WIDTH, WINDOW_HEIGHT};
-use dtc_par::hash::{fnv1a, Fnv1a};
+use dtc_formats::{CsrMatrix, Precision};
+use dtc_par::hash::fnv1a;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -52,72 +52,15 @@ impl KeyMaterial {
     /// `DTC_THREADS`); every later key of the same matrix or of its clones
     /// (admission, the pool probe, the build's own key) is a load.
     pub fn of(a: &CsrMatrix) -> Self {
-        Self::with_checksums(a.rows(), a.cols(), a.nnz(), a.checksums())
-    }
-
-    fn with_checksums(rows: usize, cols: usize, nnz: usize, sums: [u64; 3]) -> Self {
-        let [row_ptr_sum, col_idx_sum, value_sum] = sums;
-        KeyMaterial { rows, cols, nnz, row_ptr_sum, col_idx_sum, value_sum }
-    }
-
-    /// Computes the identity material of an ME-TCF matrix, bit-identical
-    /// to [`KeyMaterial::of`] over its reconstructed CSR form — but
-    /// without the triplet sort a full [`MeTcfMatrix::to_csr`] rebuild
-    /// would pay, so a matrix patched in place by `apply_delta` keys
-    /// identically to a fresh conversion of the edited CSR at a fraction
-    /// of the cost. Pinned by `of_metcf_matches_of_over_the_roundtripped_csr`.
-    ///
-    /// Small matrices (every array at or below `fnv1a_slice`'s 64 Ki
-    /// chunk, where that function is a plain serial fold) hash the three
-    /// CSR-order streams straight out of the per-window row buckets with
-    /// nothing materialized. Larger ones materialize via
-    /// [`MeTcfMatrix::csr_arrays`] and defer to
-    /// [`CsrMatrix::array_checksums`], whose chunked-parallel digest a
-    /// streaming fold could not reproduce.
-    pub fn of_metcf(m: &MeTcfMatrix) -> Self {
-        const CHUNK: usize = 64 * 1024; // fnv1a_slice's serial/chunked split
-        let (rows, cols, nnz) = (m.rows(), m.cols(), m.nnz());
-        if rows + 1 > CHUNK || nnz > CHUNK {
-            let (row_ptr, col_idx, values) = m.csr_arrays();
-            let sums = CsrMatrix::array_checksums(&row_ptr, &col_idx, &values);
-            return Self::with_checksums(rows, cols, nnz, sums);
+        let [row_ptr_sum, col_idx_sum, value_sum] = a.checksums();
+        KeyMaterial {
+            rows: a.rows(),
+            cols: a.cols(),
+            nnz: a.nnz(),
+            row_ptr_sum,
+            col_idx_sum,
+            value_sum,
         }
-        // The words `CsrMatrix::array_checksums` folds, in CSR order, from
-        // the same per-window bucketing pass as `MeTcfMatrix::csr_arrays`,
-        // folded straight into the hashers instead of materialized.
-        let [mut row_hash, mut col_hash, mut val_hash] =
-            CsrMatrix::CHECKSUM_SEEDS.map(Fnv1a::with_seed);
-        row_hash.word(0); // row_ptr[0]
-        let mut buckets: [Vec<(u32, u32)>; WINDOW_HEIGHT] = Default::default();
-        let mut prefix = 0u64;
-        for w in 0..m.num_windows() {
-            for bucket in &mut buckets {
-                bucket.clear();
-            }
-            for t in m.window_blocks(w) {
-                let bcols = m.block_cols(t);
-                let (ids, vals) = m.block_entries(t);
-                for (&id, &v) in ids.iter().zip(vals) {
-                    let local_row = (id / BLOCK_WIDTH as u8) as usize;
-                    let local_col = (id % BLOCK_WIDTH as u8) as usize;
-                    buckets[local_row].push((bcols[local_col], v.to_bits()));
-                }
-            }
-            let base = w * WINDOW_HEIGHT;
-            for (local_row, bucket) in buckets.iter().enumerate() {
-                if base + local_row >= rows {
-                    break;
-                }
-                prefix += bucket.len() as u64;
-                row_hash.word(prefix);
-                for &(c, bits) in bucket {
-                    col_hash.word(c as u64);
-                    val_hash.word(bits as u64);
-                }
-            }
-        }
-        let sums = [row_hash.finish(), col_hash.finish(), val_hash.finish()];
-        Self::with_checksums(rows, cols, nnz, sums)
     }
 
     /// Rows of the identified matrix.
@@ -260,30 +203,7 @@ pub fn clear_conversion_cache() {
 mod tests {
     use super::*;
     use dtc_formats::gen::uniform;
-
-    #[test]
-    fn of_metcf_matches_of_over_the_roundtripped_csr() {
-        // The delta path keys a patched ME-TCF with `of_metcf` while every
-        // other consumer keys the CSR with `of`; the two must agree bit
-        // for bit or a post-edit lookup could serve a pre-edit artifact.
-        // The last case crosses fnv1a_slice's 64 Ki chunk boundary, so it
-        // exercises the materializing fallback, not the streaming fold.
-        for (rows, cols, nnz, seed) in [
-            (16, 16, 0, 1u64),
-            (33, 40, 90, 2),
-            (256, 256, 2000, 3),
-            (100, 700, 4000, 4),
-            (1200, 800, 70_000, 5),
-        ] {
-            let a = if nnz == 0 {
-                CsrMatrix::from_triplets(rows, cols, &[]).unwrap()
-            } else {
-                uniform(rows, cols, nnz, seed)
-            };
-            let m = MeTcfMatrix::from_csr(&a);
-            assert_eq!(KeyMaterial::of_metcf(&m), KeyMaterial::of(&a), "seed {seed}");
-        }
-    }
+    use dtc_formats::MeTcfMatrix;
 
     #[test]
     fn key_depends_on_values_not_just_shape() {

@@ -61,7 +61,7 @@ pub use config::EngineConfig;
 pub use engine::{prepare, EngineKind};
 pub use error::DtcError;
 pub use kernel::{BalancedDtcKernel, DtcKernel, ExecPlan, KernelOpts};
-pub use pipeline::{DeltaOutcome, DtcSpmm, DtcSpmmBuilder, RESELECT_DRIFT};
+pub use pipeline::{DtcSpmm, DtcSpmmBuilder};
 pub use selector::{KernelChoice, Selector, SelectorDecision};
 pub use session::{AmortizationReport, EngineRecommendation, IterativeSpmm, IterativeSpmmBuilder};
 

@@ -14,14 +14,12 @@ use crate::kernel::{BalancedDtcKernel, DtcKernel, ExecPlan, KernelOpts};
 use crate::selector::{KernelChoice, Selector, SelectorDecision};
 use dtc_baselines::util::check_spmm_dims;
 use dtc_baselines::SpmmEngine;
-use dtc_formats::{
-    CsrMatrix, DeltaReport, DenseMatrix, FormatError, MatrixDelta, MeTcfMatrix, Precision,
-};
+use dtc_formats::{CsrMatrix, DenseMatrix, FormatError, MatrixDelta, MeTcfMatrix, Precision};
 use dtc_reorder::{Reorderer, TcaReorderer};
 use dtc_sim::{Device, KernelTrace};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Trace-cache key: (N, device fingerprint, record_b_addrs).
 type TraceKey = (usize, u64, bool);
@@ -162,7 +160,7 @@ impl DtcSpmmBuilder {
         let _phase = dtc_telemetry::span("lower");
         Ok(DtcSpmm {
             perm,
-            plan: OnceLock::from(plan),
+            plan,
             lowered: OnceLock::new(),
             key,
             working_key,
@@ -170,48 +168,6 @@ impl DtcSpmmBuilder {
             trace_cache: Mutex::new(HashMap::new()),
         })
     }
-}
-
-/// Lowers the chosen runtime kernel over an ME-TCF build (shared by the
-/// lazy cell and the delta-update path).
-fn build_kernel(
-    choice: KernelChoice,
-    metcf: MeTcfMatrix,
-    distinct: usize,
-    config: &EngineConfig,
-) -> DtcAnyKernel {
-    match choice {
-        KernelChoice::Base => DtcAnyKernel::Base(
-            DtcKernel::from_metcf(metcf, distinct, config.opts).with_precision(config.precision),
-        ),
-        KernelChoice::Balanced => DtcAnyKernel::Balanced(
-            BalancedDtcKernel::from_metcf(metcf, distinct, config.opts)
-                .with_precision(config.precision),
-        ),
-    }
-}
-
-/// [`DtcSpmm::apply_delta`] re-runs the simulation-based Selector when the
-/// edit's relative row-length-stat drift ([`DeltaReport::drift`]) exceeds
-/// this: once ~5% of the non-zero/block mass has moved. Value-only updates
-/// drift `0.0` and never re-select.
-///
-/// Not part of [`EngineConfig`]: it only shapes *when* re-selection runs,
-/// never the numerical result, so it must not move the config fingerprint
-/// serving pools key on.
-pub const RESELECT_DRIFT: f64 = 0.05;
-
-/// What one [`DtcSpmm::apply_delta`] call did.
-#[derive(Debug, Clone)]
-pub struct DeltaOutcome {
-    /// Per-window before/after stats from the format-level patch.
-    pub report: DeltaReport,
-    /// The relative stat drift that was compared against [`RESELECT_DRIFT`].
-    pub drift: f64,
-    /// Whether the Selector re-ran (drift above [`RESELECT_DRIFT`]).
-    pub reselected: bool,
-    /// The kernel in use after the update (unchanged unless `reselected`).
-    pub choice: KernelChoice,
 }
 
 #[derive(Debug, Clone)]
@@ -249,10 +205,21 @@ struct Lowered {
 impl Lowered {
     /// Runs the Selector over `metcf` (unless `config` forces a kernel's
     /// choice, which still records the decision) and lowers the kernel.
-    fn new(metcf: MeTcfMatrix, distinct: usize, config: &EngineConfig) -> Lowered {
+    fn new(metcf: MeTcfMatrix, config: &EngineConfig) -> Lowered {
         let decision = config.selector.decide(&metcf, &config.device);
         let choice = config.force.unwrap_or(decision.choice);
-        Lowered { decision, choice, kernel: build_kernel(choice, metcf, distinct, config) }
+        let distinct = metcf.distinct_cols();
+        let kernel = match choice {
+            KernelChoice::Base => DtcAnyKernel::Base(
+                DtcKernel::from_metcf(metcf, distinct, config.opts)
+                    .with_precision(config.precision),
+            ),
+            KernelChoice::Balanced => DtcAnyKernel::Balanced(
+                BalancedDtcKernel::from_metcf(metcf, distinct, config.opts)
+                    .with_precision(config.precision),
+            ),
+        };
+        Lowered { decision, choice, kernel }
     }
 }
 
@@ -261,20 +228,20 @@ impl Lowered {
 /// decision and the chosen runtime kernel.
 ///
 /// Host execution needs only the plan, so `rows`, `cols`, `nnz`,
-/// `execute` and `execute_many` never build the rest; `metcf`,
-/// `decision`, `choice`, `name`, `trace`/`simulate` and `apply_delta`
-/// build it once per engine, converting the plan's matrix exactly as an
-/// eager pipeline would (each such build counts in `core.metcf.builds`).
+/// `execute`, `execute_many` and `apply_delta` never build the rest;
+/// `metcf`, `decision`, `choice`, `name` and `trace`/`simulate` build it
+/// once per engine, converting the plan's matrix exactly as an eager
+/// pipeline would (each such build counts in `core.metcf.builds`).
 ///
 /// `execute` returns the output in the *original* row order — reordering is
 /// internal, exactly like the real library.
 #[derive(Debug)]
 pub struct DtcSpmm {
     perm: Option<Vec<usize>>,
-    /// Set at build (shared through the plan cache); reset by a delta and
-    /// rebuilt from the patched ME-TCF by the next execute.
-    plan: OnceLock<Arc<ExecPlan>>,
-    /// Built from `plan` on first use; a delta replaces it.
+    /// Set at build (shared through the plan cache); a delta replaces it
+    /// with the edited matrix's plan.
+    plan: Arc<ExecPlan>,
+    /// Built from `plan` on first use; a delta empties it.
     lowered: OnceLock<Lowered>,
     /// Identity of the source matrix (pre-reordering); [`Self::apply_delta`]
     /// retires cache entries under it.
@@ -331,22 +298,8 @@ impl DtcSpmm {
         self.lowered.get_or_init(|| {
             let _span = dtc_telemetry::span("pipeline.metcf");
             crate::telemetry::metcf_builds().incr();
-            let working = self
-                .plan
-                .get()
-                .expect("only a delta lowers an engine eagerly, and it leaves `lowered` set")
-                .to_csr();
-            let metcf = MeTcfMatrix::from_csr(&working);
-            let distinct = metcf.distinct_cols();
-            Lowered::new(metcf, distinct, &self.config)
+            Lowered::new(MeTcfMatrix::from_csr(&self.plan.to_csr()), &self.config)
         })
-    }
-
-    /// The execute plan; after a delta, rebuilt here from the patched
-    /// ME-TCF.
-    fn plan(&self) -> &ExecPlan {
-        self.plan
-            .get_or_init(|| Arc::new(ExecPlan::from_metcf(self.metcf(), self.config.precision)))
     }
 
     /// Identity of the source matrix this engine was built from.
@@ -359,16 +312,11 @@ impl DtcSpmm {
         &self.config
     }
 
-    /// Applies a batch of COO edits to the engine **in place**: the
-    /// engine's ME-TCF (built first if nothing has asked for it yet) is
-    /// patched window-locally (bitwise identical to a full rebuild over the
-    /// edited matrix), the kernel is re-lowered over the patched format,
-    /// and the simulation-based Selector re-runs only when the edit's
-    /// row-length-stat drift exceeds [`RESELECT_DRIFT`] — the
-    /// Acc-SpMM/FlashSparse insight that kernel choice keys on row-length
-    /// statistics, so small edits need not pay the makespan replay. The
-    /// execute plan is dropped; the next execute rebuilds it from the
-    /// patched format.
+    /// Applies a batch of COO edits to the engine **in place**: the edits
+    /// are applied to the plan's matrix and the edited matrix is planned
+    /// afresh. ME-TCF, the Selector decision and the kernel are dropped,
+    /// so the next simulator-side call converts, selects and lowers
+    /// exactly as a fresh build over the edited matrix would.
     ///
     /// Edits are expressed in **original** row coordinates; engines built
     /// with reordering remap them through the frozen permutation (the
@@ -380,17 +328,16 @@ impl DtcSpmm {
     /// working identities, and this engine's whole trace cache (its keys
     /// carry no matrix identity, so every memoized trace and the duration
     /// classes interned inside them are stale). The cache is purged,
-    /// **not** re-seeded: a post-edit lookup either misses (and reconverts)
+    /// **not** re-seeded: a post-edit lookup either misses (and replans)
     /// or was admitted after the edit — it can never serve a pre-edit
     /// artifact.
     ///
     /// # Errors
     ///
     /// [`DtcError::Format`] when an edit is out of bounds or the edited
-    /// matrix would overflow ME-TCF's `u32` offsets; the engine (and every
-    /// cache) is unchanged on error, except that its ME-TCF may now be
-    /// built.
-    pub fn apply_delta(&mut self, delta: &MatrixDelta) -> Result<DeltaOutcome, DtcError> {
+    /// matrix would overflow the plan's `u32` offsets; the engine (and
+    /// every cache) is unchanged on error.
+    pub fn apply_delta(&mut self, delta: &MatrixDelta) -> Result<(), DtcError> {
         let _span = dtc_telemetry::span("pipeline.delta");
         // Remap edit rows into the engine's internal (reordered) row space
         // through the inverse permutation (original row -> reordered row).
@@ -425,52 +372,31 @@ impl DtcSpmm {
             }
         };
 
-        // Patch into a new format; `self` is untouched until every
-        // fallible step has succeeded.
-        let (patched, report) = self.metcf().patched(effective)?;
-        let patched = patched.unwrap_or_else(|| self.metcf().clone());
-
-        // New identities and per-matrix statistics, straight from the
-        // patched format. The common (unreordered) path never materializes
-        // a CSR: `of_metcf` hashes the reconstructed CSR streams directly
-        // and `distinct_cols` reads the per-window column maps, which is
-        // what keeps a single-window delta an order of magnitude cheaper
-        // than a rebuild. Reordered engines still pay one `to_csr` to key
-        // the original-order matrix.
-        let new_working_key = KeyMaterial::of_metcf(&patched);
-        let new_key = match &inv {
-            None => new_working_key.clone(),
-            Some(inv) => KeyMaterial::of(&patched.to_csr()?.permute_rows(inv)),
+        // Edit and plan a copy; `self` is untouched until every fallible
+        // step has succeeded. The plan is built directly, not through the
+        // plan cache, which a delta purges and never re-seeds.
+        let edited = effective.apply_to_csr(&self.plan.to_csr())?;
+        let plan = ExecPlan::from_csr(&edited, self.config.precision)?;
+        let working_key = KeyMaterial::of(&edited);
+        let key = match &inv {
+            None => working_key.clone(),
+            Some(inv) => KeyMaterial::of(&edited.permute_rows(inv)),
         };
-        let distinct = patched.distinct_cols();
 
-        // Invalidate every layer keyed on the pre-edit identity. Purge
-        // only — no re-seeding — so the next cold build over the edited
-        // matrix is a miss, never a stale hit.
+        // Invalidate every layer keyed on the pre-edit identity.
         crate::cache::invalidate_conversion(&self.working_key);
         if self.key != self.working_key {
             crate::cache::invalidate_conversion(&self.key);
         }
-        self.trace_cache.lock().unwrap().clear();
+        self.trace_cache.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
         crate::telemetry::trace_cache_invalidations().incr();
 
-        // Drift-gated re-selection: below the threshold the previous
-        // decision (and its makespan model) is reused as-is.
-        let drift = report.drift();
-        let reselected = drift > RESELECT_DRIFT;
-        let lowered = self.lowered.get_mut().expect("the patch above lowered the engine");
-        if reselected {
-            *lowered = Lowered::new(patched, distinct, &self.config);
-            crate::telemetry::delta_reselects().incr();
-        } else {
-            lowered.kernel = build_kernel(lowered.choice, patched, distinct, &self.config);
-        }
-        let choice = lowered.choice;
-        self.plan = OnceLock::new();
-        self.key = new_key;
-        self.working_key = new_working_key;
+        self.plan = Arc::new(plan);
+        self.lowered = OnceLock::new();
+        self.key = key;
+        self.working_key = working_key;
         crate::telemetry::delta_applies().incr();
-        Ok(DeltaOutcome { report, drift, reselected, choice })
+        Ok(())
     }
 }
 
@@ -498,7 +424,7 @@ impl SpmmEngine for DtcSpmm {
     /// original row, so callers see original row order at no extra copy.
     fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, FormatError> {
         check_spmm_dims(self.rows(), self.cols(), b)?;
-        Ok(self.plan().execute(b, self.perm.as_deref()))
+        Ok(self.plan.execute(b, self.perm.as_deref()))
     }
 
     /// [`SpmmEngine::execute`] for every operand in one pass over the
@@ -508,7 +434,7 @@ impl SpmmEngine for DtcSpmm {
         for b in &bs {
             check_spmm_dims(self.rows(), self.cols(), b)?;
         }
-        Ok(self.plan().execute_many(bs, self.perm.as_deref()))
+        Ok(self.plan.execute_many(bs, self.perm.as_deref()))
     }
 
     fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
@@ -518,7 +444,8 @@ impl SpmmEngine for DtcSpmm {
         let key = (n, device.fingerprint(), record_b_addrs);
         // Look up in its own statement, so the guard is dropped before the
         // hit path touches the telemetry registry's lock.
-        let cached = self.trace_cache.lock().unwrap().get(&key).cloned();
+        let cached =
+            self.trace_cache.lock().unwrap_or_else(PoisonError::into_inner).get(&key).cloned();
         if let Some(hit) = cached {
             crate::telemetry::trace_cache_hits().incr();
             return hit;
@@ -527,7 +454,7 @@ impl SpmmEngine for DtcSpmm {
         let kernel = self.lowered().kernel.as_kernel();
         let _lower = dtc_telemetry::span("pipeline.trace");
         let trace = kernel.trace(n, device, record_b_addrs);
-        self.trace_cache.lock().unwrap().insert(key, trace.clone());
+        self.trace_cache.lock().unwrap_or_else(PoisonError::into_inner).insert(key, trace.clone());
         trace
     }
 }
@@ -538,6 +465,7 @@ mod tests {
     use dtc_baselines::util::distinct_col_count;
     use dtc_formats::gen::{community, long_row, uniform};
     use dtc_formats::tf32::TF32_UNIT_ROUNDOFF;
+    use std::hint::black_box;
 
     #[test]
     fn pipeline_output_in_original_row_order() {
@@ -600,7 +528,7 @@ mod tests {
 
     #[test]
     fn apply_delta_matches_fresh_build_bitwise() {
-        // Engine-level equivalence: patching in place must give the same
+        // Engine-level equivalence: editing in place must give the same
         // ME-TCF (and the same execute output, bitwise) as building a fresh
         // engine over the edited matrix. The engine executes before the
         // delta, so a stale execute plan would show.
@@ -617,12 +545,12 @@ mod tests {
         let b = DenseMatrix::from_fn(320, 8, |r, c| ((r * 7 + c) % 13) as f32 - 6.0);
         let mut engine = DtcSpmm::new(&a);
         let before = engine.execute(&b).unwrap();
-        let outcome = engine.apply_delta(&delta).unwrap();
+        engine.apply_delta(&delta).unwrap();
         let edited = delta.apply_to_csr(&a).unwrap();
         let fresh = DtcSpmm::new(&edited);
-        assert_eq!(engine.metcf(), fresh.metcf(), "patched format must equal rebuild");
+        assert_eq!(engine.metcf(), fresh.metcf(), "edited format must equal rebuild");
         assert_eq!(engine.key(), fresh.key(), "post-edit identity must equal rebuild");
-        assert_eq!(outcome.report.nnz_after, edited.nnz());
+        assert_eq!(engine.nnz(), edited.nnz());
         let via_delta = engine.execute(&b).unwrap();
         assert_ne!(before.as_slice(), via_delta.as_slice(), "the edit must change the output");
         let via_fresh = fresh.execute(&b).unwrap();
@@ -653,29 +581,30 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_reselects_only_past_drift_threshold() {
+    fn apply_delta_decides_as_a_fresh_build() {
         let a = uniform(640, 640, 5000, 212);
         let mut engine = DtcSpmm::new(&a);
+        black_box(engine.decision());
 
-        // A value-only update: zero drift, never reselects.
+        // A value-only update, then a heavy reshape (half as many
+        // non-zeros again).
         let mut tiny = MatrixDelta::new();
         let (r0, c0, _) = a.iter().next().unwrap();
         tiny.update(r0, c0, 42.0);
-        let out = engine.apply_delta(&tiny).unwrap();
-        assert_eq!(out.drift, 0.0);
-        assert!(!out.reselected);
-
-        // A heavy reshape (half as many non-zeros again) drifts past the
-        // threshold and must reselect.
         let mut heavy = MatrixDelta::new();
         for r in 0..640 {
             for c in 0..4 {
                 heavy.insert(r, (r + c * 160) % 640, 1.0);
             }
         }
-        let out = engine.apply_delta(&heavy).unwrap();
-        assert!(out.drift > RESELECT_DRIFT);
-        assert!(out.reselected);
+        let mut edited = a;
+        for delta in [tiny, heavy] {
+            engine.apply_delta(&delta).unwrap();
+            edited = delta.apply_to_csr(&edited).unwrap();
+            let fresh = DtcSpmm::new(&edited);
+            assert_eq!(engine.decision(), fresh.decision());
+            assert_eq!(engine.choice(), fresh.choice());
+        }
     }
 
     #[test]
@@ -683,6 +612,7 @@ mod tests {
         let a = uniform(160, 160, 900, 213);
         let mut engine = DtcSpmm::new(&a);
         let key_before = engine.key().clone();
+        let plan_before = Arc::clone(&engine.plan);
         let metcf_before = engine.metcf().clone();
         let mut delta = MatrixDelta::new();
         delta.insert(0, 1, 1.0);
@@ -690,6 +620,7 @@ mod tests {
         let err = engine.apply_delta(&delta).unwrap_err();
         assert!(matches!(err, DtcError::Format(FormatError::IndexOutOfBounds { .. })));
         assert_eq!(*engine.key(), key_before);
+        assert!(Arc::ptr_eq(&engine.plan, &plan_before));
         assert_eq!(*engine.metcf(), metcf_before);
     }
 
@@ -717,7 +648,7 @@ mod tests {
     fn apply_delta_drops_stale_traces() {
         // The trace-cache key carries no matrix identity, so an in-place
         // edit makes every memoized trace stale; post-edit traces must be
-        // re-lowered from the patched kernel.
+        // lowered from the edited matrix.
         let a = uniform(256, 256, 2048, 215);
         let device = Device::rtx4090();
         let mut engine = DtcSpmm::new(&a);
@@ -737,6 +668,29 @@ mod tests {
         let fresh = DtcSpmm::new(&delta.apply_to_csr(&a).unwrap());
         let fresh_trace = fresh.trace(32, &device, false);
         assert_eq!(post.iter_tbs().count(), fresh_trace.iter_tbs().count());
+    }
+
+    #[test]
+    fn poisoned_trace_cache_still_answers() {
+        let a = uniform(128, 128, 600, 218);
+        let device = Device::rtx4090();
+        let engine = DtcSpmm::new(&a);
+        let warm = engine.trace(16, &device, false);
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = engine.trace_cache.lock().unwrap();
+                panic!("poisoning the trace cache");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(engine.trace_cache.is_poisoned());
+        // A hit and a miss both answer through the poisoned lock.
+        assert_eq!(engine.trace(16, &device, false).iter_tbs().count(), warm.iter_tbs().count());
+        let cold = engine.trace(32, &device, false);
+        assert_eq!(
+            cold.iter_tbs().count(),
+            DtcSpmm::new(&a).trace(32, &device, false).iter_tbs().count()
+        );
     }
 
     #[test]
@@ -778,8 +732,17 @@ mod tests {
                         let decision = config.selector.decide(&metcf, &device);
                         let choice = force.unwrap_or(decision.choice);
                         let distinct = distinct_col_count(&working);
-                        let eager = build_kernel(choice, metcf.clone(), distinct, &config);
-                        let eager = eager.as_kernel();
+                        let eager: Box<dyn SpmmEngine> = match choice {
+                            KernelChoice::Base => Box::new(
+                                DtcKernel::from_metcf(metcf.clone(), distinct, config.opts)
+                                    .with_precision(precision),
+                            ),
+                            KernelChoice::Balanced => Box::new(
+                                BalancedDtcKernel::from_metcf(metcf.clone(), distinct, config.opts)
+                                    .with_precision(precision),
+                            ),
+                        };
+                        let eager = eager.as_ref();
                         let case = format!(
                             "{:?} {force:?} reorder={reorder} {precision:?}",
                             config.selector

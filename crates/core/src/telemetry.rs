@@ -12,8 +12,7 @@
 //! | `core.cache.trace.hits` / `.misses` | per-engine memoized kernel traces |
 //! | `core.cache.trace.invalidations` | per-engine trace caches dropped wholesale by a delta update |
 //! | `core.metcf.builds` | engines whose lazy ME-TCF / Selector / kernel cell was forced |
-//! | `core.delta.applies` | in-place [`crate::DtcSpmm::apply_delta`] patches |
-//! | `core.delta.reselects` | delta applies whose stat drift re-ran the Selector |
+//! | `core.delta.applies` | in-place [`crate::DtcSpmm::apply_delta`] edits |
 
 use dtc_telemetry::Counter;
 use std::sync::OnceLock;
@@ -71,13 +70,7 @@ cached_counter!(
     "core.metcf.builds"
 );
 cached_counter!(
-    /// In-place delta patches applied through [`crate::DtcSpmm::apply_delta`].
+    /// In-place edits applied through [`crate::DtcSpmm::apply_delta`].
     delta_applies,
     "core.delta.applies"
-);
-cached_counter!(
-    /// Delta applies whose row-length-stat drift crossed the policy
-    /// threshold and re-ran the simulation-based Selector.
-    delta_reselects,
-    "core.delta.reselects"
 );

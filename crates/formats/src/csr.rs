@@ -71,16 +71,15 @@ impl CsrMatrix {
     /// FNV-1a seeds of the three identity checksums, in array order
     /// (`row_ptr`, `col_idx`, `values`). Distinct offset bases decorrelate
     /// the three streams, which share the FNV prime.
-    pub const CHECKSUM_SEEDS: [u64; 3] =
+    const CHECKSUM_SEEDS: [u64; 3] =
         [0x6c62_272e_07bb_0142, 0xdead_beef_cafe_f00d, 0x0123_4567_89ab_cdef];
 
     /// The three identity checksums of CSR arrays: [`fnv1a_slice`] under
-    /// [`CsrMatrix::CHECKSUM_SEEDS`] over each `row_ptr` entry and column
-    /// index widened to `u64` and each value's bit pattern. Digests are
+    /// `CHECKSUM_SEEDS` over each `row_ptr` entry and column index
+    /// widened to `u64` and each value's bit pattern. Digests are
     /// independent of `DTC_THREADS`. [`CsrMatrix::checksums`] memoises
-    /// this for a constructed matrix; callers holding only the arrays
-    /// (such as a format that reconstructs them) call it directly.
-    pub fn array_checksums(row_ptr: &[usize], col_idx: &[u32], values: &[f32]) -> [u64; 3] {
+    /// this for a constructed matrix.
+    fn array_checksums(row_ptr: &[usize], col_idx: &[u32], values: &[f32]) -> [u64; 3] {
         let [row_seed, col_seed, value_seed] = Self::CHECKSUM_SEEDS;
         [
             fnv1a_slice(row_seed, row_ptr, |&p| p as u64),
@@ -89,8 +88,8 @@ impl CsrMatrix {
         ]
     }
 
-    /// This matrix's identity checksums ([`CsrMatrix::array_checksums`]
-    /// of its arrays), computed on the first call and read from the memo
+    /// This matrix's identity checksums (`array_checksums` of its
+    /// arrays), computed on the first call and read from the memo
     /// after it. Concurrent first calls agree: the digest is a pure
     /// function of the arrays.
     pub fn checksums(&self) -> [u64; 3] {

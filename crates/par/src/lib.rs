@@ -726,19 +726,8 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    par_map_collect_with(num_threads(), n, f)
-}
-
-/// [`par_map_collect`] with an explicit thread count, for callers that
-/// pin it for one section without touching the process-wide
-/// [`set_threads`] override.
-pub fn par_map_collect_with<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
     let _cold = FlagGuard::set(&HOT_LOOP, false);
-    let plan = ShardPlan::even(n, threads);
+    let plan = ShardPlan::even(n, num_threads());
     par_map_collect_plan(&plan, |i, _| f(i))
 }
 

@@ -68,7 +68,7 @@ cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
 echo "== schedcheck --smoke (schedule-space model check; lock-order audit)"
 cargo run --release -q -p dtc-bench --bin schedcheck -- --smoke
 
-echo "== streaming_bench --smoke (delta bitwise identity; 5x single-window gate)"
+echo "== streaming_bench --smoke (delta bitwise identity; 5x single-window ME-TCF patch gate)"
 cargo run --release -q -p dtc-bench --bin streaming_bench -- --smoke
 
 echo "== parallel_scaling --smoke (threads 1 and 4; critical-path gate 1.5x)"

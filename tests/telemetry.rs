@@ -16,10 +16,12 @@ fn counters_are_exact_under_par_threads() {
     let c = telemetry::counter("test.par.events");
     let before = c.get();
     // 4 bands × 1000 items, every worker bumping the same counter.
-    let out = dtc_spmm::par::par_map_collect_with(4, 4000, |i| {
+    dtc_spmm::par::set_threads(Some(4));
+    let out = dtc_spmm::par::par_map_collect(4000, |i| {
         c.incr();
         i
     });
+    dtc_spmm::par::set_threads(None);
     assert_eq!(out.len(), 4000);
     assert_eq!(c.get(), before + 4000, "relaxed counting must lose nothing");
 }
